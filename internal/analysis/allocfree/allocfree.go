@@ -10,9 +10,14 @@
 // the steady-state benchmark never takes). Inside the closure it flags:
 //
 //   - &composite literals (escape candidates), make, new;
-//   - function literals that escape (passed as arguments, assigned, or
-//     started with go) — immediately-called and directly-deferred literals
-//     are open-coded on the stack and exempt;
+//   - every go statement, whatever it starts: a literal, a method value or
+//     a function with arguments. Since Go 1.17 a go statement whose call
+//     has arguments or a receiver is compiled to a heap-allocated closure,
+//     so `go f.run(sid)` costs one allocation per spawn like `go func(){}()`
+//     does; the hot path runs its work inline instead;
+//   - function literals that escape (passed as arguments or assigned) —
+//     immediately-called and directly-deferred literals are open-coded on
+//     the stack and exempt;
 //   - interface conversions of non-pointer concrete values (boxing);
 //   - fmt.* formatting and errors.New (allocate by contract);
 //   - append (may grow the backing array) and string concatenation /
@@ -174,25 +179,16 @@ func classify(info *types.Info, n ast.Node, stack []ast.Node) string {
 				return conv
 			}
 		}
+	case *ast.GoStmt:
+		return "go statement allocates a closure per spawn; run the work inline on the caller"
 	case *ast.FuncLit:
 		if p, ok := parent.(*ast.CallExpr); ok {
 			if p.Fun != n {
 				return "function literal passed as an argument escapes (closure allocation)"
 			}
-			// Immediately-called literal: the statement context decides.
-			if len(stack) >= 2 {
-				switch gp := stack[len(stack)-2].(type) {
-				case *ast.GoStmt:
-					if gp.Call == p {
-						return "go func literal allocates its closure per spawn; use a method value on a pooled frame"
-					}
-				case *ast.DeferStmt:
-					if gp.Call == p {
-						return "" // direct defer: open-coded, stack
-					}
-				}
-			}
-			return "" // func(){...}() on the spot: inlined, stack
+			// Called on the spot or directly deferred: open-coded on the
+			// stack. (A spawned literal is reported at its go statement.)
+			return ""
 		}
 		return "function literal escapes (closure allocation)"
 	case *ast.BinaryExpr:

@@ -41,18 +41,32 @@ func (s *shard) push(keys []int64) error {
 
 // reached from the hot root below, so its allocation is reported too.
 func (s *shard) fanOut(k int64) {
-	go func() { // want `go func literal allocates its closure per spawn`
+	go func() { // want `go statement allocates a closure per spawn`
 		_ = k
 	}()
 }
 
+// frame is a pooled per-request fan-out frame: spawning its method value
+// with an argument still compiles to a heap closure per spawn.
+type frame struct{ s *shard }
+
+func (f *frame) run(sid int32) { _ = f.s }
+
+func (s *shard) fanOutFrame(f *frame, sid int32) {
+	go f.run(sid) // want `go statement allocates a closure per spawn`
+}
+
 // oevet:hotpath
-func (s *shard) dispatch(k int64) {
+func (s *shard) dispatch(k int64, f *frame) {
 	s.fanOut(k)
+	s.fanOutFrame(f, int32(k))
+	go s.plain()   // want `go statement allocates a closure per spawn`
 	defer func() { // ok: direct defer of a literal is open-coded on the stack
 		_ = k
 	}()
 }
+
+func (s *shard) plain() {}
 
 // oevet:hotpath
 func (s *shard) format(k int64) string {

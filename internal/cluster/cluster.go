@@ -17,29 +17,6 @@ import (
 	"openembedding/internal/serve"
 )
 
-// Partition returns the node index owning key among n nodes: the same
-// multiplicative hash the engines use for shard selection, reduced modulo
-// the node count. This is the legacy fixed-membership placement
-// (PlacementModulo); the default placement is the consistent-hash ring
-// (ring.go), which moves only ~1/N of keys on membership change.
-func Partition(key uint64, n int) int {
-	return int((key * 0x9e3779b97f4a7c15) >> 32 % uint64(n))
-}
-
-// Placement selects the key-placement scheme.
-type Placement int
-
-const (
-	// PlacementRing (the default) places keys on a consistent-hash ring
-	// with virtual nodes, versioned by an ownership epoch; membership can
-	// change live (Join/Leave) and reads fail over to R=2 replicas.
-	PlacementRing Placement = iota
-	// PlacementModulo is the legacy fixed-membership modulo placement:
-	// no migration, no replicas, bit-compatible with pre-elasticity
-	// deployments and BENCH series.
-	PlacementModulo
-)
-
 // Options configures a cluster Client.
 type Options struct {
 	// RPC is forwarded to every per-node rpc.DialOpts call (I/O deadlines,
@@ -60,9 +37,6 @@ type Options struct {
 	// Spans, when set, records per-batch cluster spans: cluster.pull /
 	// cluster.push parents with per-node cluster.node children.
 	Spans *obs.Tracer
-	// Placement selects key placement: PlacementRing (default, elastic)
-	// or PlacementModulo (legacy fixed membership).
-	Placement Placement
 	// HedgeDelay, when positive, arms hedged replica reads in PullBags:
 	// if a node's bag request has not answered within HedgeDelay, one
 	// hedged request is issued to the keys' replica nodes and the first
@@ -104,9 +78,10 @@ type Client struct {
 	addrs []string
 	spans *obs.Tracer
 
-	// ring is the ownership table under PlacementRing (nil under
-	// PlacementModulo). Stored atomically so concurrent PullBags readers
-	// observe a consistent ring while a Join/Leave flips the epoch.
+	// ring is the ownership table: a consistent-hash ring with virtual
+	// nodes (ring.go), versioned by an ownership epoch. Stored atomically
+	// so concurrent PullBags readers observe a consistent ring while a
+	// Join/Leave flips the epoch.
 	ring atomic.Pointer[Ring]
 	// ids are the stable ring identities of c.nodes, index-aligned;
 	// nextID is the identity the next joiner receives. Identities are
@@ -209,9 +184,7 @@ func DialOpts(dim int, addrs []string, opts Options) (*Client, error) {
 		c.ids = append(c.ids, uint64(n))
 	}
 	c.nextID = uint64(len(addrs))
-	if opts.Placement == PlacementRing {
-		c.ring.Store(NewRing(c.ids))
-	}
+	c.ring.Store(NewRing(c.ids))
 	if opts.Detector != nil {
 		c.det = NewDetector(len(c.nodes), *opts.Detector, opts.Obs)
 		c.resizeHealth()
@@ -376,27 +349,16 @@ func (c *Client) suspectedNow(n int) bool {
 	return c.det.Suspected(n, c.nowFn())
 }
 
-// ownerOf returns the node index owning key under the active placement.
-func (c *Client) ownerOf(key uint64) int {
-	if r := c.ring.Load(); r != nil {
-		return r.Owner(key)
-	}
-	return Partition(key, len(c.nodes))
-}
+// ownerOf returns the node index owning key on the current ring.
+func (c *Client) ownerOf(key uint64) int { return c.ring.Load().Owner(key) }
 
-// Epoch returns the current ownership epoch (0 under PlacementModulo,
-// which never changes membership).
-func (c *Client) Epoch() int64 {
-	if r := c.ring.Load(); r != nil {
-		return r.Epoch()
-	}
-	return 0
-}
+// Epoch returns the current ownership epoch.
+func (c *Client) Epoch() int64 { return c.ring.Load().Epoch() }
 
 // Nodes returns the node count.
 func (c *Client) Nodes() int { return len(c.nodes) }
 
-// Owner returns the node index owning key under the active placement —
+// Owner returns the node index owning key on the current ring —
 // the exported view oectl ring uses to show the key distribution.
 func (c *Client) Owner(key uint64) int { return c.ownerOf(key) }
 
@@ -534,11 +496,10 @@ func (c *Client) Pull(batch int64, keys []uint64, dst []float32) error {
 // order, so repeated gathers of the same state agree bit-for-bit. Mean is
 // applied client-side over each bag's full key count.
 //
-// Under PlacementRing a node that fails with a degraded error —
-// transport failure, timeout, shed (busy) or an open breaker — is failed
-// over: its keys are regrouped by their per-key replica node
-// (failover.go) and re-read there, so one dead node costs latency, not
-// errors. With Options.HedgeDelay set, a node that is merely slow gets
+// A node that fails with a degraded error — transport failure, timeout,
+// shed (busy) or an open breaker — is failed over: its keys are regrouped
+// by their per-key replica node (failover.go) and re-read there, so one
+// dead node costs latency, not errors. With Options.HedgeDelay set, a node that is merely slow gets
 // one hedged replica read after the deadline. With Options.Detector, a
 // *suspected* owner is preempted entirely. PullBags drops the staleness
 // flag; serving frontends that must distinguish degraded answers use

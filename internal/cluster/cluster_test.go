@@ -37,28 +37,6 @@ func startCluster(t *testing.T, engine string, nodes int) *Client {
 	return c
 }
 
-func TestPartitionStableAndInRange(t *testing.T) {
-	for _, n := range []int{1, 2, 3, 7} {
-		counts := make([]int, n)
-		for k := uint64(0); k < 10000; k++ {
-			p := Partition(k, n)
-			if p < 0 || p >= n {
-				t.Fatalf("partition %d out of range for %d nodes", p, n)
-			}
-			if p != Partition(k, n) {
-				t.Fatal("partition not deterministic")
-			}
-			counts[p]++
-		}
-		// Roughly balanced: no node under half the fair share.
-		for i, c := range counts {
-			if c < 10000/n/2 {
-				t.Fatalf("node %d of %d got %d keys (unbalanced)", i, n, c)
-			}
-		}
-	}
-}
-
 // TestClusterMatchesSingleEngine drives the same workload through a 3-node
 // PMem-OE cluster over TCP and through a single local engine; per-key state
 // must agree exactly (entries are independent, so sharding cannot change

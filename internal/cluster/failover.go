@@ -9,7 +9,7 @@ import (
 )
 
 // Replicated bag reads (DESIGN.md §15) with gray-failure degradation
-// (§16): under PlacementRing every key has a preferred owner and, with
+// (§16): every key has a preferred owner on the ring and, with
 // two or more nodes, a distinct replica (Ring.Secondary) kept warm by
 // SyncReplicas pushes into the replica's serve overlay. PullBags prefers
 // the owner; the owner is routed around when it is *degraded* — a
@@ -49,15 +49,14 @@ func (c *Client) countFailover(cause failoverCause) {
 }
 
 // bagRequest fetches one node's share of a PullBags fan-out: the partial
-// sums for all bags over nodeKeys, grouped under nodeOffs. Under
-// PlacementModulo (nil ring) it is a plain owner read with legacy error
-// semantics. Under PlacementRing it adds suspicion preemption, failover,
-// optional hedging, and the stale fallback tier.
+// sums for all bags over nodeKeys, grouped under nodeOffs. Around the
+// owner read it adds suspicion preemption, failover, optional hedging,
+// and the stale fallback tier.
 func (c *Client) bagRequest(ring *Ring, n, bags int, offs []uint32, keys []uint64) (vals []float32, stale bool, err error) {
 	// Suspicion preempts the owner read entirely: a gray-failed owner
 	// would burn the full read deadline before surfacing an error, which
 	// is exactly the latency the detector exists to save.
-	if ring != nil && c.suspectedNow(n) {
+	if c.suspectedNow(n) {
 		if vals, rerr := c.bagViaReplicas(ring, n, bags, offs, keys, errSuspectedOwner); rerr == nil {
 			c.countFailover(causeSuspect)
 			return vals, false, nil
@@ -70,9 +69,9 @@ func (c *Client) bagRequest(ring *Ring, n, bags int, offs []uint32, keys []uint6
 		// No stale tier configured: the suspected owner is still the best
 		// remaining option — fall through and ask it after all.
 	}
-	if ring == nil || c.hedgeDelay <= 0 {
+	if c.hedgeDelay <= 0 {
 		vals, err := c.bagNode(n, bags, offs, keys)
-		if err == nil || ring == nil || !rpc.IsDegraded(err) {
+		if err == nil || !rpc.IsDegraded(err) {
 			return vals, false, err
 		}
 		c.countFailover(causeHard)

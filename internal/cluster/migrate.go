@@ -186,13 +186,10 @@ func (c *Client) adoptEpochs(cls []*rpc.Client) error {
 // Join adds the node at addr to the ring and live-migrates its arcs from
 // their current owners. batch is the last sealed training batch; the
 // migration seals a cluster-wide checkpoint at the final batch before
-// flipping ownership. Requires PlacementRing. Join must not race other
-// calls on this Client (it is the coordinator's own training driver).
+// flipping ownership. Join must not race other calls on this Client (it
+// is the coordinator's own training driver).
 func (c *Client) Join(batch int64, addr string) error {
 	r := c.ring.Load()
-	if r == nil {
-		return fmt.Errorf("cluster: join: modulo placement is fixed-membership")
-	}
 	var start time.Duration
 	if c.reg != nil {
 		start = c.reg.Now()
@@ -280,13 +277,10 @@ func (c *Client) Join(batch int64, addr string) error {
 
 // Leave removes node (by index) from the ring, live-migrating its arcs to
 // the remaining owners, and closes its connection. batch is the last
-// sealed training batch. Requires PlacementRing and at least two nodes.
+// sealed training batch. Requires at least two nodes.
 // Leave must not race other calls on this Client.
 func (c *Client) Leave(batch int64, node int) error {
 	r := c.ring.Load()
-	if r == nil {
-		return fmt.Errorf("cluster: leave: modulo placement is fixed-membership")
-	}
 	if node < 0 || node >= len(c.nodes) {
 		return fmt.Errorf("cluster: leave: no node %d", node)
 	}
@@ -369,9 +363,6 @@ func (c *Client) Leave(batch int64, node int) error {
 // stale as the last sync; training pushes remain single-owner.
 func (c *Client) SyncReplicas(keys []uint64) (int, error) {
 	r := c.ring.Load()
-	if r == nil {
-		return 0, fmt.Errorf("cluster: sync replicas: modulo placement has no replicas")
-	}
 	nn := len(c.nodes)
 	// Read each key's row from its owner via single-key bags.
 	ownKeys := make([][]uint64, nn)

@@ -175,36 +175,3 @@ func TestLeavePlanCoversExactly(t *testing.T) {
 		}
 	}
 }
-
-// TestModuloPlacementPinned: PlacementModulo routes exactly like the
-// legacy Partition function — the pinned pre-elasticity equivalence.
-func TestModuloPlacementPinned(t *testing.T) {
-	c, _ := startClusterOpts(t, "dram-ps", 3, Options{Placement: PlacementModulo})
-	if c.ring.Load() != nil {
-		t.Fatal("modulo placement built a ring")
-	}
-	if got := c.Epoch(); got != 0 {
-		t.Fatalf("modulo epoch = %d, want 0", got)
-	}
-	for k := uint64(0); k < 10_000; k++ {
-		if got, want := c.ownerOf(k), Partition(k, 3); got != want {
-			t.Fatalf("key %d: modulo owner %d, want Partition %d", k, got, want)
-		}
-	}
-	// Fixed membership: elastic operations refuse.
-	if err := c.Join(0, "127.0.0.1:1"); err == nil {
-		t.Fatal("modulo Join succeeded")
-	}
-	if err := c.Leave(0, 1); err == nil {
-		t.Fatal("modulo Leave succeeded")
-	}
-	if _, err := c.SyncReplicas([]uint64{1}); err == nil {
-		t.Fatal("modulo SyncReplicas succeeded")
-	}
-	// And the training path still works end to end.
-	keys := []uint64{1, 2, 3, 4, 5, 6}
-	dst := make([]float32, len(keys)*4)
-	if err := c.Pull(0, keys, dst); err != nil {
-		t.Fatal(err)
-	}
-}

@@ -18,8 +18,7 @@ import (
 // `go test ./...` stays fast. Two gates ride along:
 //
 //   - The zero-alloc gate is unconditional once the test runs: the run-sorted
-//     pull and push hot paths must not allocate (the pre-PR fan-out cost 5
-//     allocs/op at shards=8).
+//     pull and push hot paths must not allocate at either shard count.
 //   - The regression gate is armed by OE_BENCH_BASELINE (a prior BENCH
 //     artifact, normally BENCH_pr3.json) plus OE_BENCH_MAX_REGRESSION_PCT:
 //     every series present in both reports must not be slower than baseline

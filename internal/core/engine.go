@@ -8,7 +8,6 @@ package core
 import (
 	"fmt"
 	"math/bits"
-	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -80,10 +79,6 @@ type Engine struct {
 	// rounds republish per-shard hot-set snapshots for ServeRead.
 	serveOn atomic.Bool
 
-	// fanout bounds the goroutines Pull/Push spawn for per-shard sublists;
-	// when no token is free the caller runs the sublist inline.
-	fanout chan struct{}
-
 	// counters
 	hits, misses, evictions atomic.Int64
 	pmemReads, pmemWrites   atomic.Int64
@@ -134,21 +129,16 @@ type maintTask struct {
 	entries []accessRec
 }
 
-// opScratch holds one request's reusable buffers, one lane per shard so the
-// fanned-out shard tasks never share a slice.
+// opScratch holds one request's reusable buffers. The shards of a request
+// run one after another on the caller, so one set of sweep slices serves
+// them all.
 type opScratch struct {
-	byShard [][]int32     // positions in keys partitioned by shard
-	ids     []int32       // shards with a non-empty sublist
-	recs    [][]accessRec // per-shard access records
-	miss    [][]missRun   // per-shard first-touch runs
-	pmem    [][]pmemRun   // per-shard PMem-resident runs awaiting coalescing
-	sortBuf [][]uint64    // per-shard (key,pos) packing scratch for sortPosByKey
-
-	// fan is the request's fan-out frame: the wait group, error slot and
-	// work description the helper goroutines need, preallocated here so a
-	// multi-shard request spawns helpers without any per-call closure
-	// allocations.
-	fan fanFrame
+	byShard [][]int32   // positions in keys partitioned by shard
+	ids     []int32     // shards with a non-empty sublist
+	recs    []accessRec // access records of the shard being swept
+	miss    []missRun   // first-touch runs of the shard being swept
+	pmem    []pmemRun   // PMem-resident runs awaiting coalescing
+	sortBuf []uint64    // (key,pos) packing scratch for sortPosByKey
 
 	// obsTick drives the 1-in-8 latency sampling of Pull. It lives here
 	// because the scratch is owned exclusively for the request's duration:
@@ -157,79 +147,6 @@ type opScratch struct {
 	// ride the same sampling decision without re-deriving it.
 	obsTick   uint8
 	obsSample bool
-}
-
-// fanFrame carries one fanned-out request's shared state. It lives inside
-// the pooled opScratch: `go f.run(sid)` passes the receiver and shard id as
-// plain goroutine arguments, so dispatching a multi-shard batch performs no
-// heap allocation (the closure-per-request formulation this replaces cost
-// five allocations per Pull/Push).
-type fanFrame struct {
-	e     *Engine
-	sc    *opScratch
-	batch int64
-	keys  []uint64
-	buf   []float32 // dst for pulls, grads for pushes
-	push  bool
-
-	wg    sync.WaitGroup
-	errMu sync.Mutex
-	err   error
-}
-
-func (f *fanFrame) record(err error) {
-	if err == nil {
-		return
-	}
-	f.errMu.Lock()
-	if f.err == nil {
-		f.err = err
-	}
-	f.errMu.Unlock()
-}
-
-// do runs the frame's operation for one shard inline.
-func (f *fanFrame) do(sid int32) error {
-	s := f.e.shards[sid]
-	if f.push {
-		return s.push(f.batch, f.keys, f.sc.byShard[sid], f.buf, f.sc, int(sid))
-	}
-	return s.pull(f.batch, f.keys, f.sc.byShard[sid], f.buf, f.sc, int(sid))
-}
-
-// run is the helper-goroutine body.
-func (f *fanFrame) run(sid int32) {
-	f.record(f.do(sid))
-	<-f.e.fanout
-	f.wg.Done()
-}
-
-// dispatch runs the frame's operation for every shard in sc.ids, spawning a
-// goroutine per shard while pool tokens are available and running the
-// remainder (always including the first) on the caller. The first error
-// wins.
-func (f *fanFrame) dispatch() error {
-	ids := f.sc.ids
-	if len(ids) == 0 {
-		return nil
-	}
-	if len(ids) == 1 {
-		return f.do(ids[0])
-	}
-	for _, sid := range ids[1:] {
-		select {
-		case f.e.fanout <- struct{}{}:
-			f.wg.Add(1)
-			go f.run(sid)
-		default:
-			f.record(f.do(sid))
-		}
-	}
-	f.record(f.do(ids[0]))
-	f.wg.Wait()
-	err := f.err
-	f.err = nil
-	return err
 }
 
 // New creates a PMem-OE engine storing records in the given arena. The
@@ -276,16 +193,6 @@ func New(cfg psengine.Config, arena *pmem.Arena) (*Engine, error) {
 		}
 		e.shards[i].mu.initRank("core.shard.mu", 10)
 	}
-	// The caller of a fanned-out Pull/Push works a shard itself, so the
-	// helper pool holds GOMAXPROCS-1 tokens. On a single-CPU process the
-	// channel has zero capacity: no token is ever available and every
-	// sublist runs inline, sparing the goroutine churn that parallelism
-	// could not repay.
-	fan := runtime.GOMAXPROCS(0) - 1
-	if fan < 0 {
-		fan = 0
-	}
-	e.fanout = make(chan struct{}, fan)
 	e.completedCkpt.Store(-1)
 	e.prevCompleted.Store(-1)
 	e.currBatch.Store(-1)
@@ -296,13 +203,7 @@ func New(cfg psengine.Config, arena *pmem.Arena) (*Engine, error) {
 		return &b
 	}
 	e.scratchPool.New = func() any {
-		return &opScratch{
-			byShard: make([][]int32, nShards),
-			recs:    make([][]accessRec, nShards),
-			miss:    make([][]missRun, nShards),
-			pmem:    make([][]pmemRun, nShards),
-			sortBuf: make([][]uint64, nShards),
-		}
+		return &opScratch{byShard: make([][]int32, nShards)}
 	}
 	for i := 0; i < cfg.MaintThreads; i++ {
 		e.maintWG.Add(1)
@@ -335,52 +236,39 @@ func (e *Engine) shardFor(k uint64) *shard { return e.shards[e.shardIndex(k)] }
 func (e *Engine) getScratch() *opScratch { return e.scratchPool.Get().(*opScratch) }
 
 func (e *Engine) putScratch(sc *opScratch) {
-	for i := range sc.byShard {
-		sc.byShard[i] = sc.byShard[i][:0]
-		sc.recs[i] = sc.recs[i][:0]
-		sc.miss[i] = sc.miss[i][:0]
-		sc.pmem[i] = sc.pmem[i][:0]
+	for _, sid := range sc.ids {
+		sc.byShard[sid] = sc.byShard[sid][:0]
 	}
 	sc.ids = sc.ids[:0]
-	sc.fan.e, sc.fan.sc, sc.fan.keys, sc.fan.buf, sc.fan.err = nil, nil, nil, nil, nil
 	e.scratchPool.Put(sc)
 }
 
 // partition splits the positions of keys into sc.byShard sublists and
 // records the non-empty shards in sc.ids. Sublists are in batch order here;
-// each shard sorts its own sublist into key runs (sortPosByKey), keeping
-// the O(n log n) work off the partitioning thread and inside the fan-out.
+// each shard sorts its own sublist into key runs (sortPosByKey). With one
+// shard the shift is 64, so every position lands in shard 0 in batch order.
 func (e *Engine) partition(keys []uint64, sc *opScratch) {
 	byShard := sc.byShard
 	for i, k := range keys {
 		sid := e.shardIndex(k)
-		byShard[sid] = append(byShard[sid], int32(i)) //oevet:alloc-ok appends into a pooled scratch lane: capacity persists across batches, steady state never grows
+		byShard[sid] = append(byShard[sid], int32(i)) //oevet:alloc-ok appends into pooled request scratch: capacity persists across batches, steady state never grows
 	}
 	ids := sc.ids
 	for sid := range byShard {
 		if len(byShard[sid]) > 0 {
-			ids = append(ids, int32(sid)) //oevet:alloc-ok appends into a pooled scratch lane: capacity persists across batches, steady state never grows
+			ids = append(ids, int32(sid)) //oevet:alloc-ok appends into pooled request scratch: capacity persists across batches, steady state never grows
 		}
 	}
 	sc.ids = ids
 }
 
-// partitionAll routes every position to the single shard — the one-shard
-// engine shares the sorted-run sweep with the fanned-out path, so Shards=1
-// still reproduces the unsharded layout with identical charges.
-func (e *Engine) partitionAll(keys []uint64, sc *opScratch) []int32 {
-	idxs := sc.byShard[0][:0]
-	for i := range keys {
-		idxs = append(idxs, int32(i)) //oevet:alloc-ok appends into a pooled scratch lane: capacity persists across batches, steady state never grows
-	}
-	sc.byShard[0] = idxs
-	return idxs
-}
-
 // Pull implements Algorithm 1: under each shard's shared lock, resolve the
 // shard's keys through its DRAM index, copy weights from DRAM or PMem into
 // dst, and append the touched entries to the shard's access queue for
-// deferred maintenance. Multi-shard batches fan out across the worker pool.
+// deferred maintenance. The shards of a batch run one after another on the
+// caller's goroutine: a parameter server's parallelism comes from
+// concurrent requests on independent shard locks, not from splitting one
+// request across threads.
 //
 // oevet:hotpath
 func (e *Engine) Pull(batch int64, keys []uint64, dst []float32) error {
@@ -411,14 +299,14 @@ func (e *Engine) Pull(batch int64, keys []uint64, dst []float32) error {
 			sc.obsSample = true
 		}
 	}
+	// Every non-empty shard runs even after one fails, and the first error in
+	// shard order wins, so an error leaves a deterministic set of entries.
+	e.partition(keys, sc)
 	var err error
-	if len(e.shards) == 1 {
-		err = e.shards[0].pull(batch, keys, e.partitionAll(keys, sc), dst, sc, 0)
-	} else {
-		e.partition(keys, sc)
-		f := &sc.fan
-		f.e, f.sc, f.batch, f.keys, f.buf, f.push = e, sc, batch, keys, dst, false
-		err = f.dispatch()
+	for _, sid := range sc.ids {
+		if serr := e.shards[sid].pull(batch, keys, sc.byShard[sid], dst, sc); err == nil {
+			err = serr
+		}
 	}
 	if sc.obsSample {
 		e.obs.Pull.Observe(e.obs.Now() - obsStart)
@@ -459,15 +347,13 @@ func (e *Engine) Push(batch int64, keys []uint64, grads []float32) error {
 	e.WaitMaintenance()
 
 	e.cfg.Meter.Charge(simclock.LockSync, psengine.LockCost)
-	var err error
 	sc := e.getScratch()
-	if len(e.shards) == 1 {
-		err = e.shards[0].push(batch, keys, e.partitionAll(keys, sc), grads, sc, 0)
-	} else {
-		e.partition(keys, sc)
-		f := &sc.fan
-		f.e, f.sc, f.batch, f.keys, f.buf, f.push = e, sc, batch, keys, grads, true
-		err = f.dispatch()
+	e.partition(keys, sc)
+	var err error
+	for _, sid := range sc.ids {
+		if serr := e.shards[sid].push(batch, keys, sc.byShard[sid], grads, sc); err == nil {
+			err = serr
+		}
 	}
 	e.putScratch(sc)
 	if obsStart != 0 {

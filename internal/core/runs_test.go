@@ -350,8 +350,9 @@ func TestRunCoalescingAcrossFragmentation(t *testing.T) {
 }
 
 // TestPullPushZeroAllocs pins the hot-path allocation budget at zero for both
-// shard counts: the fan-out frame lives in pooled scratch and the run sweep
-// reuses its lanes, so steady-state Pull and Push never touch the heap.
+// shard counts: shards run one after another on the caller and the run
+// sweep reuses pooled scratch, so steady-state Pull and Push never touch the
+// heap at any GOMAXPROCS (CI runs it under -cpu 1,2,4,8).
 func TestPullPushZeroAllocs(t *testing.T) {
 	if lockRankDebug {
 		t.Skip("-tags oedebug: runtime lock-rank checks allocate by design")
@@ -377,7 +378,7 @@ func TestPullPushZeroAllocs(t *testing.T) {
 		dst := make([]float32, batchLen*dim)
 		grads := constGrads(batchLen, dim, 0.1)
 
-		// Warm: create every entry, populate the scratch/goroutine pools, and
+		// Warm: create every entry, populate the scratch pool, and
 		// pre-grow the access queues past their doubling thresholds.
 		batch := int64(0)
 		for ; batch < 8; batch++ {

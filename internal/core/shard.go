@@ -121,29 +121,28 @@ func fanOutRow(dst []float32, dim, i int, rest []int32) {
 }
 
 // pull serves this shard's portion of a Pull: idxs lists the positions in
-// keys/dst that hash here (the single-shard path passes every position).
+// keys/dst that hash here.
 //
 // The sweep is run-structured: idxs is sorted by (key, position), so a key
 // pulled k times in one batch becomes one run — one index probe, one tier
 // read, and k-1 in-DRAM fan-out copies — and the per-key meter charge
 // becomes one batched ChargeN per sublist. PMem-resident runs are deferred
 // and served together so adjacent-slot records coalesce into ranged
-// verified reads (servePMem). Scratch slices come from sc at the given lane
-// (one lane per shard, so concurrent shard pulls of one request never share
-// a buffer).
-func (s *shard) pull(batch int64, keys []uint64, idxs []int32, dst []float32, sc *opScratch, lane int) error {
+// verified reads (servePMem). Scratch slices come from sc, which the
+// request's shards use one after another.
+func (s *shard) pull(batch int64, keys []uint64, idxs []int32, dst []float32, sc *opScratch) error {
 	e := s.eng
 	dim := e.cfg.Dim
-	recs := sc.recs[lane][:0]
-	miss := sc.miss[lane][:0]
-	runs := sc.pmem[lane][:0]
+	recs := sc.recs[:0]
+	miss := sc.miss[:0]
+	runs := sc.pmem[:0]
 	defer func() {
-		// Hand the (possibly grown) buffers back to the scratch lane.
-		sc.recs[lane], sc.miss[lane], sc.pmem[lane] = recs, miss, runs
+		// Hand the (possibly grown) buffers back to the scratch.
+		sc.recs, sc.miss, sc.pmem = recs, miss, runs
 	}()
 
 	n := len(idxs)
-	sc.sortBuf[lane] = sortPosByKey(idxs, keys, sc.sortBuf[lane])
+	sc.sortBuf = sortPosByKey(idxs, keys, sc.sortBuf)
 	// One probe charge per sublist instead of one atomic RMW per key; the
 	// totals and op counts are exactly n per-key charges' (dedup does not
 	// discount the probe cost — the paper's request handling hashes every
@@ -162,15 +161,15 @@ func (s *shard) pull(batch int64, keys []uint64, idxs []int32, dst []float32, sc
 		ent := s.index[k]
 		switch {
 		case ent == nil:
-			miss = append(miss, missRun{start: int32(start), end: int32(end), rec: int32(len(recs))}) //oevet:alloc-ok appends into a pooled scratch lane: capacity persists across batches, steady state never grows
+			miss = append(miss, missRun{start: int32(start), end: int32(end), rec: int32(len(recs))}) //oevet:alloc-ok appends into pooled request scratch: capacity persists across batches, steady state never grows
 			recs = append(recs, accessRec{})                                                          // placeholder; createMissing fills it
 		case ent.inDRAM():
 			copy(dst[i*dim:(i+1)*dim], ent.weights(dim))
 			fanOutRow(dst, dim, i, idxs[start+1:end])
 			hits += int64(end - start)
-			recs = append(recs, accessRec{ent: ent}) //oevet:alloc-ok appends into a pooled scratch lane: capacity persists across batches, steady state never grows
+			recs = append(recs, accessRec{ent: ent}) //oevet:alloc-ok appends into pooled request scratch: capacity persists across batches, steady state never grows
 		default:
-			runs = append(runs, pmemRun{ent: ent, start: int32(start), end: int32(end)}) //oevet:alloc-ok appends into a pooled scratch lane: capacity persists across batches, steady state never grows
+			runs = append(runs, pmemRun{ent: ent, start: int32(start), end: int32(end)}) //oevet:alloc-ok appends into pooled request scratch: capacity persists across batches, steady state never grows
 			recs = append(recs, accessRec{ent: ent, fromPMem: true})
 		}
 		start = end
@@ -315,11 +314,11 @@ func (s *shard) createMissing(batch int64, keys []uint64, idxs []int32, miss []m
 // (key, position) so each key's gradients form one run applied under a
 // single stripe acquisition — in batch-position order, because float
 // optimizer updates do not commute.
-func (s *shard) push(batch int64, keys []uint64, idxs []int32, grads []float32, sc *opScratch, lane int) error {
+func (s *shard) push(batch int64, keys []uint64, idxs []int32, grads []float32, sc *opScratch) error {
 	e := s.eng
 	dim := e.cfg.Dim
 	n := len(idxs)
-	sc.sortBuf[lane] = sortPosByKey(idxs, keys, sc.sortBuf[lane])
+	sc.sortBuf = sortPosByKey(idxs, keys, sc.sortBuf)
 	e.cfg.Meter.ChargeN(simclock.Compute, time.Duration(n)*psengine.IndexProbeCost, int64(n))
 	s.mu.RLock()
 	defer s.mu.RUnlock()

@@ -1,7 +1,11 @@
 package core
 
 import (
+	"cmp"
+	"errors"
 	"math/rand"
+	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -54,6 +58,61 @@ func TestPullMissStatsCountedOnce(t *testing.T) {
 	if got := e.Stats().PMemReads; got != 2 {
 		t.Fatalf("PMemReads after inline push promotion = %d, want 2", got)
 	}
+}
+
+// TestCapacityOverflowDeterministic pins the error contract of a multi-shard
+// Pull: every non-empty shard runs in shard order on the caller and the
+// first error wins, so a batch that overflows Capacity fails the same way
+// and leaves the same entries on every run — exactly the first Capacity new
+// keys in (shard, key) order. GOMAXPROCS is raised to at least 2 so a
+// scheduler-dependent shard order would show.
+func TestCapacityOverflowDeterministic(t *testing.T) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	}
+	const capacity, unique = 64, 512
+	cfg := psengine.Config{Dim: 4, Capacity: capacity, CacheEntries: capacity, Shards: 8, MaintThreads: 2}
+	keys := make([]uint64, unique)
+	for i := range keys {
+		keys[i] = uint64(i + 1)
+	}
+	rand.New(rand.NewSource(5)).Shuffle(len(keys), func(i, j int) { keys[i], keys[j] = keys[j], keys[i] })
+	dst := make([]float32, len(keys)*cfg.Dim)
+
+	var wantErr string
+	var want []uint64
+	for run := 0; run < 8; run++ {
+		e := newTestEngine(t, cfg)
+		err := e.Pull(0, keys, dst)
+		if !errors.Is(err, psengine.ErrCapacity) {
+			t.Fatalf("run %d: Pull past capacity: %v, want ErrCapacity", run, err)
+		}
+		got := e.Keys()
+		if run == 0 {
+			wantErr, want = err.Error(), expectedOverflowKeys(e, keys, capacity)
+		}
+		if err.Error() != wantErr {
+			t.Fatalf("run %d: error %q, want %q", run, err, wantErr)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("run %d: %d entries %v,\nwant %d entries %v", run, len(got), got, len(want), want)
+		}
+	}
+}
+
+// expectedOverflowKeys lists, ascending, the first n distinct keys in
+// (shard, key) order: the entries a Pull that overflows capacity n creates.
+func expectedOverflowKeys(e *Engine, keys []uint64, n int) []uint64 {
+	order := slices.Clone(keys)
+	slices.SortFunc(order, func(a, b uint64) int {
+		if sa, sb := e.shardIndex(a), e.shardIndex(b); sa != sb {
+			return sa - sb
+		}
+		return cmp.Compare(a, b)
+	})
+	order = slices.Compact(order)[:n]
+	slices.Sort(order)
+	return order
 }
 
 // TestShardDeterminismAcrossShardCounts pins the tentpole's correctness

@@ -17,10 +17,10 @@ func posLess(keys []uint64, a, b int32) bool {
 // over the packed words replaces the pointer-chasing comparator — roughly
 // half the sort cost of the indirect path, which remains as the fallback
 // for wide keys. Both paths produce the identical order. buf is the packing
-// scratch, returned (possibly grown) for the caller's scratch lane.
+// scratch, returned (possibly grown) for the caller's pooled scratch.
 func sortPosByKey(pos []int32, keys []uint64, buf []uint64) []uint64 {
 	if cap(buf) < len(pos) {
-		buf = make([]uint64, len(pos)) //oevet:alloc-ok grow-once scratch: the buffer returns to the pooled lane and steady state never regrows
+		buf = make([]uint64, len(pos)) //oevet:alloc-ok grow-once scratch: the buffer returns to the pooled scratch and steady state never regrows
 	}
 	buf = buf[:len(pos)]
 	// Pack optimistically, accumulating the key OR; a wide key voids the
