@@ -37,11 +37,6 @@ type Options struct {
 	// Spans, when set, records per-batch cluster spans: cluster.pull /
 	// cluster.push parents with per-node cluster.node children.
 	Spans *obs.Tracer
-	// HedgeDelay, when positive, arms hedged replica reads in PullBags:
-	// if a node's bag request has not answered within HedgeDelay, one
-	// hedged request is issued to the keys' replica nodes and the first
-	// success wins. Zero disables hedging; hard failures still fail over.
-	HedgeDelay time.Duration
 	// Detector, when set, arms the suspicion-based failure detector
 	// (detector.go): dedicated per-node probe connections feed
 	// inter-arrival accrual, and PullBags preempts reads to suspected
@@ -49,11 +44,6 @@ type Options struct {
 	// gray-failed owner's read deadline burns. Probe cadence is driven by
 	// Probe calls (deterministic soaks) or StartProber (wall clock).
 	Detector *DetectorConfig
-	// Breakers, when set, gives every per-node connection its own circuit
-	// breaker (rpc.Breaker defaults): consecutive transport failures to a
-	// node make later calls fail fast — immediately eligible for failover
-	// — instead of re-paying dial and read deadlines per request.
-	Breakers bool
 	// Stale, when set, is the degraded-serving fallback tier: PullBags
 	// tracks its hot keys there, RefreshStale snapshots their rows, and a
 	// read whose owner AND replicas are all degraded is answered from the
@@ -90,8 +80,7 @@ type Client struct {
 	nextID uint64
 	// dialOpts reproduces DialOpts' per-node connection setup for nodes
 	// that join later.
-	dialOpts   Options
-	hedgeDelay time.Duration
+	dialOpts Options
 	// migrateHook, when set by tests, runs between migration copy rounds
 	// (round index, last sealed batch) and returns the new last sealed
 	// batch — the hook may train, forcing delta rounds.
@@ -120,8 +109,6 @@ type Client struct {
 	failovers   *obs.Counter
 	foHard      *obs.Counter
 	foSuspect   *obs.Counter
-	foHedge     *obs.Counter
-	hedged      *obs.Counter
 	reg         *obs.Registry
 }
 
@@ -137,11 +124,10 @@ func DialOpts(dim int, addrs []string, opts Options) (*Client, error) {
 		return nil, fmt.Errorf("cluster: no node addresses")
 	}
 	c := &Client{
-		dim:        dim,
-		addrs:      append([]string(nil), addrs...),
-		spans:      opts.Spans,
-		dialOpts:   opts,
-		hedgeDelay: opts.HedgeDelay,
+		dim:      dim,
+		addrs:    append([]string(nil), addrs...),
+		spans:    opts.Spans,
+		dialOpts: opts,
 	}
 	if reg := opts.Obs; reg != nil {
 		c.reg = reg
@@ -157,8 +143,6 @@ func DialOpts(dim int, addrs []string, opts Options) (*Client, error) {
 		c.failovers = reg.Counter("cluster_failovers")
 		c.foHard = reg.Counter("cluster_failovers_hard")
 		c.foSuspect = reg.Counter("cluster_failovers_suspect")
-		c.foHedge = reg.Counter("cluster_failovers_hedge")
-		c.hedged = reg.Counter("cluster_hedged_reads")
 	}
 	// Detector time source: explicit Clock > obs monotonic clock >
 	// process-monotonic fallback.
@@ -205,21 +189,14 @@ func (c *Client) dialNode(addr string, n int) (*rpc.Client, error) {
 	}
 	// Distinct per-node jitter streams from one configured seed.
 	ro.Retry.Seed ^= uint64(n) * 0x9e3779b97f4a7c15
-	// The breaker is per-peer state; the budget (already in ro) is shared
-	// across all of this Client's nodes by construction.
-	if c.dialOpts.Breakers && ro.Breaker == nil {
-		bk := rpc.NewBreaker(0, 0)
-		bk.SetObs(c.reg)
-		ro.Breaker = bk
-	}
 	return rpc.DialOpts(addr, ro)
 }
 
 // dialProbe opens node n's dedicated health-probe connection: its own
 // injector stream ("node<i>/probe", so probe traffic never perturbs the
 // data connections' deterministic fault streams), single attempts with
-// redial-on-demand, the detector's short probe timeout, and no budget or
-// breaker — a probe IS the health check, it must always reach the wire.
+// redial-on-demand, the detector's short probe timeout, and no budget —
+// a probe IS the health check, it must always reach the wire.
 func (c *Client) dialProbe(addr string, n int) (*rpc.Client, error) {
 	ro := c.dialOpts.RPC
 	if c.dialOpts.Inject != nil {
@@ -228,7 +205,6 @@ func (c *Client) dialProbe(addr string, n int) (*rpc.Client, error) {
 	ro.Label = fmt.Sprintf("node%d/probe", n)
 	ro.Retry = rpc.RetryPolicy{MaxAttempts: 1}
 	ro.Budget = nil
-	ro.Breaker = nil
 	ro.Obs = nil // probe RTTs would skew the data-path client metrics
 	if c.det != nil {
 		ro.DialTimeout = c.det.cfg.ProbeTimeout
@@ -308,7 +284,8 @@ func (c *Client) Probe() {
 
 // StartProber runs Probe every interval (the detector's Interval when
 // interval <= 0) on a background goroutine until the returned stop
-// function is called; Close stops it too. Wall-clock deployments only —
+// function is called; Close stops it too, and so does a later
+// StartProber, which replaces it. Wall-clock deployments only —
 // deterministic soaks drive Probe explicitly against the virtual clock.
 func (c *Client) StartProber(interval time.Duration) (stop func()) {
 	if c.det == nil {
@@ -321,8 +298,12 @@ func (c *Client) StartProber(interval time.Duration) (stop func()) {
 	var once sync.Once
 	stop = func() { once.Do(func() { close(done) }) }
 	c.healthMu.Lock()
+	prev := c.proberStop
 	c.proberStop = stop
 	c.healthMu.Unlock()
+	if prev != nil {
+		prev()
+	}
 	go func() {
 		t := time.NewTicker(interval)
 		defer t.Stop()
@@ -496,14 +477,14 @@ func (c *Client) Pull(batch int64, keys []uint64, dst []float32) error {
 // order, so repeated gathers of the same state agree bit-for-bit. Mean is
 // applied client-side over each bag's full key count.
 //
-// A node that fails with a degraded error — transport failure, timeout,
-// shed (busy) or an open breaker — is failed over: its keys are regrouped
-// by their per-key replica node (failover.go) and re-read there, so one
-// dead node costs latency, not errors. With Options.HedgeDelay set, a node that is merely slow gets
-// one hedged replica read after the deadline. With Options.Detector, a
-// *suspected* owner is preempted entirely. PullBags drops the staleness
-// flag; serving frontends that must distinguish degraded answers use
-// PullBagsResult.
+// A node that fails with a degraded error — transport failure, timeout or
+// shed (busy) — is failed over: its keys are regrouped by their per-key
+// replica node (failover.go) and re-read there, so one dead node costs
+// latency, not errors. A node that is merely slow costs one read deadline
+// and then fails over the same way, unless Options.Detector already
+// suspects it: a *suspected* owner is preempted entirely. PullBags drops
+// the staleness flag; serving frontends that must distinguish degraded
+// answers use PullBagsResult.
 func (c *Client) PullBags(mean bool, offsets []uint32, keys []uint64, out []float32) error {
 	_, err := c.PullBagsResult(mean, offsets, keys, out)
 	return err

@@ -3,7 +3,6 @@ package cluster
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"openembedding/internal/rpc"
 )
@@ -13,11 +12,13 @@ import (
 // two or more nodes, a distinct replica (Ring.Secondary) kept warm by
 // SyncReplicas pushes into the replica's serve overlay. PullBags prefers
 // the owner; the owner is routed around when it is *degraded* — a
-// transport failure or timeout, a shed (busy) response, an open circuit
-// breaker, or mere suspicion by the failure detector — and the keys are
-// regrouped by their per-key replica and re-read there. When the replicas
-// cannot answer either, the stale fallback tier (serve.StaleTier) is the
-// last line: the read succeeds, flagged stale, instead of erroring.
+// transport failure or timeout, a shed (busy) response, or mere suspicion
+// by the failure detector — and the keys are regrouped by their per-key
+// replica and re-read there. A slow owner the detector has never observed
+// is not suspected: it costs one read deadline, then fails over hard.
+// When the replicas cannot answer either, the stale fallback tier
+// (serve.StaleTier) is the last line: the read succeeds, flagged stale,
+// instead of erroring.
 // Training pushes remain single-owner: replicas serve reads only, and a
 // replica row is as stale as the last SyncReplicas that refreshed it.
 
@@ -31,11 +32,10 @@ type failoverCause int
 const (
 	causeHard    failoverCause = iota // the owner answered with a degraded error
 	causeSuspect                      // the detector preempted the owner read
-	causeHedge                        // a hedged replica read won the race
 )
 
 // countFailover tallies one failover in the aggregate counter and its
-// cause-split counter (cluster_failovers_{hard,suspect,hedge}).
+// cause-split counter (cluster_failovers_{hard,suspect}).
 func (c *Client) countFailover(cause failoverCause) {
 	c.failovers.Add(1)
 	switch cause {
@@ -43,15 +43,13 @@ func (c *Client) countFailover(cause failoverCause) {
 		c.foHard.Add(1)
 	case causeSuspect:
 		c.foSuspect.Add(1)
-	case causeHedge:
-		c.foHedge.Add(1)
 	}
 }
 
 // bagRequest fetches one node's share of a PullBags fan-out: the partial
 // sums for all bags over nodeKeys, grouped under nodeOffs. Around the
-// owner read it adds suspicion preemption, failover, optional hedging,
-// and the stale fallback tier.
+// owner read it adds suspicion preemption, failover and the stale
+// fallback tier.
 func (c *Client) bagRequest(ring *Ring, n, bags int, offs []uint32, keys []uint64) (vals []float32, stale bool, err error) {
 	// Suspicion preempts the owner read entirely: a gray-failed owner
 	// would burn the full read deadline before surfacing an error, which
@@ -69,22 +67,19 @@ func (c *Client) bagRequest(ring *Ring, n, bags int, offs []uint32, keys []uint6
 		// No stale tier configured: the suspected owner is still the best
 		// remaining option — fall through and ask it after all.
 	}
-	if c.hedgeDelay <= 0 {
-		vals, err := c.bagNode(n, bags, offs, keys)
-		if err == nil || !rpc.IsDegraded(err) {
-			return vals, false, err
-		}
-		c.countFailover(causeHard)
-		vals, rerr := c.bagViaReplicas(ring, n, bags, offs, keys, err)
-		if rerr == nil {
-			return vals, false, nil
-		}
-		if vals, ok := c.bagStale(bags, offs, keys); ok {
-			return vals, true, nil
-		}
-		return nil, false, rerr
+	vals, err = c.bagNode(n, bags, offs, keys)
+	if err == nil || !rpc.IsDegraded(err) {
+		return vals, false, err
 	}
-	return c.bagHedged(ring, n, bags, offs, keys)
+	c.countFailover(causeHard)
+	vals, rerr := c.bagViaReplicas(ring, n, bags, offs, keys, err)
+	if rerr == nil {
+		return vals, false, nil
+	}
+	if vals, ok := c.bagStale(bags, offs, keys); ok {
+		return vals, true, nil
+	}
+	return nil, false, rerr
 }
 
 // bagNode issues the owner read to node n and validates the result shape.
@@ -164,74 +159,4 @@ func (c *Client) bagStale(bags int, offs []uint32, keys []uint64) ([]float32, bo
 	}
 	c.stale.Fallback()
 	return acc, true
-}
-
-// bagHedged races the owner read against one hedged replica read launched
-// after the hedge deadline. The first success wins (a hedge win counts as
-// a hedge-cause failover); if both fail the share falls back to the stale
-// tier, and only then to the first error. The owner finishing first (the
-// steady state) never pays for a replica round-trip.
-func (c *Client) bagHedged(ring *Ring, n, bags int, offs []uint32, keys []uint64) ([]float32, bool, error) {
-	type res struct {
-		vals  []float32
-		err   error
-		hedge bool // produced by the hedged replica read, not the owner
-	}
-	ch := make(chan res, 2)
-	go func() {
-		vals, err := c.bagNode(n, bags, offs, keys)
-		ch <- res{vals, err, false}
-	}()
-	timer := time.NewTimer(c.hedgeDelay)
-	defer timer.Stop()
-	outstanding := 1
-	hedged := false
-	var firstErr error
-	for {
-		select {
-		case r := <-ch:
-			outstanding--
-			if r.err == nil {
-				if r.hedge {
-					c.countFailover(causeHedge)
-				}
-				return r.vals, false, nil
-			}
-			if firstErr == nil {
-				firstErr = r.err
-			}
-			if !r.hedge && !hedged {
-				// Owner failed before the hedge deadline: hard failover.
-				if !rpc.IsDegraded(r.err) {
-					return nil, false, r.err
-				}
-				c.countFailover(causeHard)
-				vals, rerr := c.bagViaReplicas(ring, n, bags, offs, keys, r.err)
-				if rerr == nil {
-					return vals, false, nil
-				}
-				if vals, ok := c.bagStale(bags, offs, keys); ok {
-					return vals, true, nil
-				}
-				return nil, false, rerr
-			}
-			if outstanding == 0 {
-				if vals, ok := c.bagStale(bags, offs, keys); ok {
-					return vals, true, nil
-				}
-				return nil, false, firstErr
-			}
-		case <-timer.C:
-			if hedged {
-				continue
-			}
-			hedged = true
-			outstanding++
-			c.hedged.Add(1)
-			go func() {
-				vals, err := c.bagViaReplicas(ring, n, bags, offs, keys, fmt.Errorf("hedged past %v", c.hedgeDelay))
-				ch <- res{vals, err, true}
-			}()
-		}
-	}
 }

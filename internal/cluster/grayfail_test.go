@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -273,10 +274,10 @@ func TestStaleFallbackWhenAllReplicasDegraded(t *testing.T) {
 }
 
 // TestServingGrayFailureSoak runs the full degradation ladder against a
-// silently partitioned owner: hard failovers with retry budget and
-// breaker while the detector accrues, suspicion-preempted failovers
-// after, stale answers when everything is gone — zero caller-surfaced
-// errors and every read far under the owner's deadline.
+// silently partitioned owner: hard failovers under the retry budget while
+// the detector accrues, suspicion-preempted failovers after, stale
+// answers when everything is gone — zero caller-surfaced errors and every
+// read under the owner's 2s read deadline.
 func TestServingGrayFailureSoak(t *testing.T) {
 	var ns []*ps.Node
 	var addrs []string
@@ -322,7 +323,6 @@ func TestServingGrayFailureSoak(t *testing.T) {
 			ReadTimeout:  2 * time.Second,
 			WriteTimeout: 2 * time.Second,
 		},
-		Breakers: true,
 		Detector: &DetectorConfig{Interval: 100 * time.Millisecond, Threshold: 3, Window: 4},
 		Clock:    func() time.Duration { return time.Duration(vnow.Load()) },
 		Stale:    stale,
@@ -365,9 +365,9 @@ func TestServingGrayFailureSoak(t *testing.T) {
 	}
 
 	// Phase 1 — the detector has no evidence yet: reads against the
-	// partitioned owner burn their (instantly failing) attempts, the
-	// breaker opens, the retry budget empties, and every read still
-	// answers via hard failover to replicas.
+	// partitioned owner burn their (instantly failing) attempts until the
+	// retry budget empties, and every read still answers via hard
+	// failover to replicas.
 	for r := 0; r < 3; r++ {
 		read("phase1 hard-failover", false)
 	}
@@ -402,10 +402,10 @@ func TestServingGrayFailureSoak(t *testing.T) {
 	}
 	read("phase4 stale", true)
 
-	// Every read stayed far under the 2s owner deadline: injected
+	// Every read stayed under the 2s owner read deadline: injected
 	// partitions are instant timeouts, suspicion skips the owner
 	// entirely, and nothing ever waited out a gray peer.
-	if worst > 10*time.Second {
+	if worst >= 2*time.Second {
 		t.Fatalf("worst serving read took %v; degradation must bound latency", worst)
 	}
 
@@ -414,7 +414,6 @@ func TestServingGrayFailureSoak(t *testing.T) {
 		"cluster_suspicions":         1,
 		"cluster_failovers_hard":     1,
 		"cluster_failovers_suspect":  1,
-		"rpc_breaker_open":           1,
 		"rpc_retry_budget_exhausted": 1,
 		"serve_stale_fallbacks":      1,
 	} {
@@ -425,8 +424,9 @@ func TestServingGrayFailureSoak(t *testing.T) {
 }
 
 // TestNoGoroutineLeakAfterClose is the post-soak leak gate: a client with
-// the prober running, plus its probe connections and nodes, must unwind
-// completely on Close.
+// the prober started twice, plus its probe connections and nodes, must
+// unwind completely on Close — the second StartProber replaces the first
+// prober rather than orphaning it.
 func TestNoGoroutineLeakAfterClose(t *testing.T) {
 	before := runtime.NumGoroutine()
 
@@ -445,6 +445,7 @@ func TestNoGoroutineLeakAfterClose(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.StartProber(2 * time.Millisecond)
+	c.StartProber(3 * time.Millisecond)
 	keys := testKeys(8)
 	trainStep(t, c, 0, keys, 1)
 	time.Sleep(20 * time.Millisecond) // let several probe rounds run
@@ -459,14 +460,15 @@ func TestNoGoroutineLeakAfterClose(t *testing.T) {
 
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if g := runtime.NumGoroutine(); g <= before+2 {
+		buf := make([]byte, 1<<20)
+		stacks := string(buf[:runtime.Stack(buf, true)])
+		prober := strings.Contains(stacks, "StartProber")
+		if g := runtime.NumGoroutine(); g <= before+2 && !prober {
 			return
 		}
 		if time.Now().After(deadline) {
-			buf := make([]byte, 1<<16)
-			n := runtime.Stack(buf, true)
-			t.Fatalf("goroutines: %d before, %d after close\n%s",
-				before, runtime.NumGoroutine(), buf[:n])
+			t.Fatalf("goroutines: %d before, %d after close (prober alive: %v)\n%s",
+				before, runtime.NumGoroutine(), prober, stacks)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}

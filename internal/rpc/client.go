@@ -76,11 +76,6 @@ type Options struct {
 	// clients bounds the total retry amplification a dead node can cause.
 	// Nil keeps unbudgeted retries.
 	Budget *Budget
-	// Breaker, when set, is this peer's circuit breaker: consecutive
-	// transport failures open it, after which calls fail fast with
-	// *BreakerOpenError and only periodic half-open probes touch the wire.
-	// Nil disables breaking.
-	Breaker *Breaker
 	// Obs, when set, receives client metrics: rpc_client_rtt_ns,
 	// rpc_client_bytes_out/in, rpc_client_inflight, rpc_client_timeouts,
 	// rpc_client_retries, rpc_client_redials.
@@ -471,24 +466,17 @@ func (c *Client) doLocked(body []byte) (*Reader, error) {
 	var lastErr error
 	for a := 0; a < attempts; a++ {
 		if a > 0 {
-			// Breaker fast-fails never touched the wire, so they cost no
-			// budget token; every other retry must withdraw one or stop.
-			if !errors.Is(lastErr, ErrBreakerOpen) && !c.opts.Budget.TryRetry() {
+			if !c.opts.Budget.TryRetry() {
 				return nil, lastErr
 			}
 			c.retries.Add(1)
 			time.Sleep(c.backoff(a))
-		}
-		if !c.opts.Breaker.Allow() {
-			lastErr = &BreakerOpenError{Addr: c.addr}
-			continue
 		}
 		if err := c.ensureConn(); err != nil {
 			lastErr = err
 			if !retryable(err) {
 				return nil, err
 			}
-			c.opts.Breaker.OnFailure()
 			continue
 		}
 		// Client-side fence: a redial that found the server at a newer
@@ -504,12 +492,10 @@ func (c *Client) doLocked(body []byte) (*Reader, error) {
 			if !retryable(err) {
 				return nil, err
 			}
-			c.opts.Breaker.OnFailure()
 			continue
 		}
-		// Any response at all proves the peer alive: close the breaker and
-		// regrow the retry budget, whatever the response says.
-		c.opts.Breaker.OnSuccess()
+		// Any response at all proves the peer alive: regrow the retry
+		// budget, whatever the response says.
 		c.opts.Budget.OnSuccess()
 		r, err := DecodeResponse(resp)
 		if err != nil {

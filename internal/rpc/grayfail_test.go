@@ -14,8 +14,7 @@ import (
 )
 
 // Gray-failure hardening tests (DESIGN.md §16): the shared retry budget
-// bounds retry amplification, the per-peer circuit breaker fast-fails a
-// persistently failing node, and the server abandons work whose caller's
+// bounds retry amplification, and the server abandons work whose caller's
 // propagated deadline already expired.
 
 // TestRetryStormBudgetBounded is the retry-storm regression: many clients
@@ -88,53 +87,6 @@ func TestRetryStormBudgetBounded(t *testing.T) {
 	}
 }
 
-// TestBreakerStateMachine walks the breaker through its whole lifecycle
-// as a pure function of call and failure counts.
-func TestBreakerStateMachine(t *testing.T) {
-	reg := obs.NewRegistry()
-	k := NewBreaker(3, 4)
-	k.SetObs(reg)
-
-	type step struct {
-		op   string // "fail", "ok", "allow"
-		want bool   // for "allow": expected verdict
-	}
-	steps := []step{
-		{op: "allow", want: true}, // closed
-		{op: "fail"}, {op: "fail"},
-		{op: "allow", want: true}, // 2 failures: still closed
-		{op: "fail"},              // 3rd consecutive: opens
-		{op: "allow", want: false},
-		{op: "allow", want: false},
-		{op: "allow", want: false},
-		{op: "allow", want: true}, // every 4th blocked call probes
-		{op: "fail"},              // probe failed: stays open
-		{op: "allow", want: false},
-		{op: "allow", want: false},
-		{op: "allow", want: false},
-		{op: "allow", want: true}, // next probe
-		{op: "ok"},                // probe succeeded: closes
-		{op: "allow", want: true},
-		{op: "fail"}, {op: "fail"}, {op: "fail"}, // re-opens
-		{op: "allow", want: false},
-	}
-	for i, s := range steps {
-		switch s.op {
-		case "fail":
-			k.OnFailure()
-		case "ok":
-			k.OnSuccess()
-		case "allow":
-			if got := k.Allow(); got != s.want {
-				t.Fatalf("step %d: Allow() = %v, want %v (open=%v)", i, got, s.want, k.Open())
-			}
-		}
-	}
-	if got := reg.Snapshot().Counters["rpc_breaker_open"]; got != 2 {
-		t.Fatalf("rpc_breaker_open = %d, want 2 closed-to-open transitions", got)
-	}
-}
-
 func TestBudgetTokenArithmetic(t *testing.T) {
 	reg := obs.NewRegistry()
 	b := NewBudget(2, 0.5)
@@ -169,10 +121,11 @@ func TestBudgetTokenArithmetic(t *testing.T) {
 	}
 }
 
-// TestBreakerFastFailCostsNoBudget: once the breaker is open, blocked
-// attempts never withdraw retry tokens — fast-fails are free, so a broken
-// peer cannot starve the budget other peers' retries draw from.
-func TestBreakerFastFailCostsNoBudget(t *testing.T) {
+// TestBudgetWireRetryWithdrawsOneToken pins the budget accounting of a single
+// request: against a refused port, the free first attempt fails, the one
+// retry MaxAttempts allows withdraws exactly one token, and the request
+// then fails degraded so serving reads route around the peer.
+func TestBudgetWireRetryWithdrawsOneToken(t *testing.T) {
 	// A refused port: listen, note the address, close.
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -182,11 +135,9 @@ func TestBreakerFastFailCostsNoBudget(t *testing.T) {
 	ln.Close()
 
 	budget := NewBudget(3, 0)
-	bk := NewBreaker(1, 100) // opens on the first failure, probes rarely
 	c, err := DialOpts(addr, Options{
-		Retry:       RetryPolicy{MaxAttempts: 3, Backoff: 100 * time.Microsecond, Seed: 3},
+		Retry:       RetryPolicy{MaxAttempts: 2, Backoff: 100 * time.Microsecond, Seed: 3},
 		Budget:      budget,
-		Breaker:     bk,
 		DialTimeout: time.Second,
 	})
 	if err != nil {
@@ -194,33 +145,15 @@ func TestBreakerFastFailCostsNoBudget(t *testing.T) {
 	}
 	defer c.Close()
 
-	// First ping: the free first attempt fails on the wire and opens the
-	// breaker; attempt 2 withdraws a token and is then blocked; attempt 3
-	// follows a breaker fast-fail, so it is free.
 	err = c.Ping()
 	if err == nil {
 		t.Fatal("ping to a refused port succeeded")
-	}
-	if !bk.Open() {
-		t.Fatal("breaker still closed after a wire failure with threshold 1")
-	}
-	if got := budget.Tokens(); got != 2 {
-		t.Fatalf("budget tokens = %v after first ping, want 2 (one wire retry)", got)
-	}
-
-	// Second ping: every attempt is breaker-blocked; none cost a token.
-	err = c.Ping()
-	if !errors.Is(err, ErrBreakerOpen) {
-		t.Fatalf("ping err = %v, want ErrBreakerOpen", err)
-	}
-	if !errors.Is(err, ErrUnavailable) {
-		t.Fatalf("breaker-open err = %v, want Is(ErrUnavailable) so failover treats it as degraded", err)
 	}
 	if !IsDegraded(err) {
 		t.Fatalf("IsDegraded(%v) = false, want true", err)
 	}
 	if got := budget.Tokens(); got != 2 {
-		t.Fatalf("budget tokens = %v after fast-failed ping, want 2 (fast-fails are free)", got)
+		t.Fatalf("budget tokens = %v after one failed ping, want 2 (one wire retry)", got)
 	}
 }
 
