@@ -10,7 +10,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"openembedding/internal/faultinject"
 	"openembedding/internal/obs"
 	"openembedding/internal/psengine"
 	"openembedding/internal/rpc"
@@ -20,15 +19,11 @@ import (
 // Options configures a cluster Client.
 type Options struct {
 	// RPC is forwarded to every per-node rpc.DialOpts call (I/O deadlines,
-	// retry policy, client-side RPC metrics). Each node's copy gets a
+	// retry policy, fault injector, client-side RPC metrics). Each node's copy gets a
 	// deterministic injector label ("node<i>", unless RPC.Label is set) and
 	// a per-node retry jitter seed derived from RPC.Retry.Seed and the node
 	// index, so a seeded chaos run replays identically.
 	RPC rpc.Options
-	// Inject, when set, arms the deterministic fault injector on every
-	// per-node connection (client-side dial and wire faults). Nil leaves
-	// the hot path untouched.
-	Inject *faultinject.Injector
 	// Obs, when set, receives worker-side fan-out metrics:
 	// cluster_fanout_width (nodes contacted per pull/push),
 	// cluster_straggler_ns (slowest minus fastest node per fan-out),
@@ -181,9 +176,6 @@ func DialOpts(dim int, addrs []string, opts Options) (*Client, error) {
 // seed, so seeded chaos runs replay identically even after joins.
 func (c *Client) dialNode(addr string, n int) (*rpc.Client, error) {
 	ro := c.dialOpts.RPC
-	if c.dialOpts.Inject != nil {
-		ro.Inject = c.dialOpts.Inject
-	}
 	if ro.Label == "" {
 		ro.Label = fmt.Sprintf("node%d", n)
 	}
@@ -199,9 +191,6 @@ func (c *Client) dialNode(addr string, n int) (*rpc.Client, error) {
 // a probe IS the health check, it must always reach the wire.
 func (c *Client) dialProbe(addr string, n int) (*rpc.Client, error) {
 	ro := c.dialOpts.RPC
-	if c.dialOpts.Inject != nil {
-		ro.Inject = c.dialOpts.Inject
-	}
 	ro.Label = fmt.Sprintf("node%d/probe", n)
 	ro.Retry = rpc.RetryPolicy{MaxAttempts: 1}
 	ro.Budget = nil

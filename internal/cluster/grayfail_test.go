@@ -322,11 +322,11 @@ func TestServingGrayFailureSoak(t *testing.T) {
 			Budget:       rpc.NewBudget(4, 0),
 			ReadTimeout:  2 * time.Second,
 			WriteTimeout: 2 * time.Second,
+			Inject:       inj,
 		},
 		Detector: &DetectorConfig{Interval: 100 * time.Millisecond, Threshold: 3, Window: 4},
 		Clock:    func() time.Duration { return time.Duration(vnow.Load()) },
 		Stale:    stale,
-		Inject:   inj,
 		Obs:      reg,
 	})
 	if err != nil {

@@ -352,10 +352,3 @@ func (a *Arena) Quarantine(slot uint32) {
 	delete(a.occupied, slot)
 	a.quarantined[slot] = true
 }
-
-// QuarantinedCount reports how many slots have been quarantined.
-func (a *Arena) QuarantinedCount() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return len(a.quarantined)
-}

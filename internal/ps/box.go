@@ -62,12 +62,6 @@ func (b *engineBox) AdvanceCheckpoints() error {
 	return nil
 }
 
-// Scrub forwards the optional integrity-scrub hook to the boxed engine.
-// The boxed engine's scrub may restore or fence entries (state loss), and
-// the obligation to fence the node epoch passes through the box to the
-// caller — the dynamic dispatch below hides core.Engine.Scrub's own
-// fence-need contract from the analyzer, so it is restated here.
-//
 // migrator is the optional live-resharding hook set (DESIGN.md §15); only
 // the pmem-oe engine implements it.
 type migrator interface {
@@ -85,7 +79,7 @@ func (b *engineBox) ExportRange(match func(key uint64) bool, since int64, afterK
 }
 
 // AdoptEntries forwards the migration adopt hook to the boxed engine. The
-// caller fences the node epoch afterwards (ps.Node.adoptRPC); the dynamic
+// caller fences the node epoch afterwards (ps.Node.AdoptRange); the dynamic
 // dispatch hides core.Engine.AdoptEntries' own fence-need contract from
 // the analyzer, so it is restated here.
 //
@@ -108,6 +102,12 @@ func (b *engineBox) DropRange(match func(key uint64) bool) (int, error) {
 	return 0, fmt.Errorf("ps: engine %q does not support migration", b.Name())
 }
 
+// Scrub forwards the optional integrity-scrub hook to the boxed engine.
+// The boxed engine's scrub may restore or fence entries (state loss), and
+// the obligation to fence the node epoch passes through the box to the
+// caller — the dynamic dispatch below hides core.Engine.Scrub's own
+// fence-need contract from the analyzer, so it is restated here.
+//
 // oevet:fence-need
 func (b *engineBox) Scrub() (psengine.ScrubReport, error) {
 	if s, ok := b.get().(interface {

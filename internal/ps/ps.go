@@ -105,10 +105,6 @@ type Node struct {
 	// updates it to the checkpoint the restarted engine recovered to.
 	RecoveredBatch int64
 
-	// lastRecover is the most recent recovery's outcome (zero until the
-	// node has recovered at least once). Guarded by mu.
-	lastRecover core.RecoverInfo
-
 	// pendingFence records a scrub-driven state loss whose epoch fence has
 	// not been applied yet. The engine consumes its loss signal before
 	// notifying (scrubLoss.Swap in the maintainer), so the notification
@@ -196,7 +192,6 @@ func StartNode(addr string, cfg NodeConfig) (*Node, error) {
 			n.adoptEngine(eng)
 			engine = eng
 			n.RecoveredBatch = ckpt
-			n.lastRecover = eng.RecoverInfo()
 		} else {
 			arena, err := pmem.NewArena(dev, payload, slots)
 			if err != nil {
@@ -272,14 +267,9 @@ func (n *Node) serverOptions() rpc.ServerOptions {
 		Obs:    n.cfg.Obs,
 	}
 	if n.cfg.Engine == "pmem-oe" {
-		opts.Rollback = n.rollbackTo
-		opts.Scrub = n.scrubRPC
-		opts.Migrate = n.migrateRPC
-		opts.Adopt = n.adoptRPC
-		opts.Drop = n.dropRPC
+		opts.Admin = n
 		if n.bagSrv != nil {
 			opts.Bags = n.bagSrv
-			opts.Replicate = n.replicateRPC
 		}
 	}
 	return opts
@@ -293,9 +283,9 @@ func matchIntervals(ivs []rpc.HashInterval) func(key uint64) bool {
 	return func(key uint64) bool { return rpc.CoversKey(ivs, key) }
 }
 
-// migrateRPC serves MsgMigrateRange: export one page of the moving range.
-// A read — no state change, no fence.
-func (n *Node) migrateRPC(since int64, afterKey uint64, max int, ivs []rpc.HashInterval) ([]rpc.MigEntry, bool, error) {
+// MigrateRange serves MsgMigrateRange (rpc.Admin): export one page of the
+// moving range. A read — no state change, no fence.
+func (n *Node) MigrateRange(since int64, afterKey uint64, max int, ivs []rpc.HashInterval) ([]rpc.MigEntry, bool, error) {
 	entries, more, err := n.box.ExportRange(matchIntervals(ivs), since, afterKey, max)
 	if err != nil {
 		return nil, false, err
@@ -307,12 +297,12 @@ func (n *Node) migrateRPC(since int64, afterKey uint64, max int, ivs []rpc.HashI
 	return out, more, nil
 }
 
-// adoptRPC serves MsgAdoptRange: install migrated entries (durably), then
-// fence the node epoch — clients bound to the pre-migration ownership view
-// must re-synchronize before their next batch-protocol request, exactly as
-// after a rollback. The coordinator itself re-adopts the epoch on its
-// connection right after the flip.
-func (n *Node) adoptRPC(entries []rpc.MigEntry) error {
+// AdoptRange serves MsgAdoptRange (rpc.Admin): install migrated entries
+// (durably), then fence the node epoch — clients bound to the
+// pre-migration ownership view must re-synchronize before their next
+// batch-protocol request, exactly as after a rollback. The coordinator
+// itself re-adopts the epoch on its connection right after the flip.
+func (n *Node) AdoptRange(entries []rpc.MigEntry) error {
 	in := make([]core.MigEntry, len(entries))
 	for i, me := range entries {
 		in[i] = core.MigEntry(me)
@@ -327,11 +317,11 @@ func (n *Node) adoptRPC(entries []rpc.MigEntry) error {
 	return err
 }
 
-// dropRPC serves MsgDropRange: remove the moved range — index, cache and
-// durable records — then fence the node epoch: the node's key set
-// regressed, and any client that still believes the old ownership must be
-// rejected rather than repopulate dropped keys.
-func (n *Node) dropRPC(ivs []rpc.HashInterval) (int, error) {
+// DropRange serves MsgDropRange (rpc.Admin): remove the moved range —
+// index, cache and durable records — then fence the node epoch: the
+// node's key set regressed, and any client that still believes the old
+// ownership must be rejected rather than repopulate dropped keys.
+func (n *Node) DropRange(ivs []rpc.HashInterval) (int, error) {
 	dropped, err := n.box.DropRange(matchIntervals(ivs))
 	// Fence even on error: a drop that failed mid-way may already have
 	// removed entries.
@@ -344,11 +334,12 @@ func (n *Node) dropRPC(ivs []rpc.HashInterval) (int, error) {
 	return dropped, err
 }
 
-// replicateRPC serves MsgReplicate: install read-only failover replicas in
-// the node's overlay. Serving state only — no fence.
-func (n *Node) replicateRPC(keys []uint64, rows []float32) error {
+// Replicate serves MsgReplicate (rpc.Admin): install read-only failover
+// replicas in the node's overlay. Serving state only — no fence. A node
+// that does not serve bag reads keeps no overlay and rejects replicas.
+func (n *Node) Replicate(keys []uint64, rows []float32) error {
 	if n.replicas == nil {
-		return errors.New("ps: replica serving unavailable")
+		return errors.New("replication unsupported by this node")
 	}
 	return n.replicas.Merge(keys, rows)
 }
@@ -396,12 +387,12 @@ func (n *Node) ServeHandler() *serve.Handler {
 // so it must never block on mu: a concurrent Crash/Close holds mu while
 // draining the maintainer pool, and waiting here would deadlock. It must
 // also never LOSE the fence — the engine consumed the loss signal before
-// notifying (scrubLoss.Swap), and mu's other takers (Addr, Epoch,
-// LastRecoverInfo, Close) do not bump the epoch — so the loss is parked in
-// pendingFence first and, when TryLock finds mu busy, handed to a detached
-// goroutine that may block: the maintainer-pool drain never waits on it,
-// and applying late is safe because a crash/restart/rollback that raced
-// past bumps the epoch itself (making the parked fence redundant —
+// notifying (scrubLoss.Swap), and mu's other takers (Addr, Epoch, Close)
+// do not bump the epoch — so the loss is parked in pendingFence first
+// and, when TryLock finds mu busy, handed to a detached goroutine that
+// may block: the maintainer-pool drain never waits on it, and applying
+// late is safe because a crash/restart/rollback that raced past bumps the
+// epoch itself (making the parked fence redundant —
 // applyPendingFenceLocked drops it on a crashed/closed node) and
 // rpc.Server.SetEpoch is an atomic store, valid even after server close.
 //
@@ -459,10 +450,10 @@ func (n *Node) applyPendingFenceLocked() {
 	n.fenceEpochLocked()
 }
 
-// scrubRPC serves MsgScrub: one full integrity pass over the node's
-// records. State-losing heals (restored or fenced entries) fence the epoch
-// exactly like the background path.
-func (n *Node) scrubRPC() (psengine.ScrubReport, error) {
+// Scrub serves MsgScrub (rpc.Admin): one full integrity pass over the
+// node's records. State-losing heals (restored or fenced entries) fence
+// the epoch exactly like the background path.
+func (n *Node) Scrub() (psengine.ScrubReport, error) {
 	rep, err := n.box.Scrub()
 	// Fence BEFORE surfacing any error: a pass that failed mid-way may
 	// already have restored or fenced entries (the report carries the
@@ -475,15 +466,6 @@ func (n *Node) scrubRPC() (psengine.ScrubReport, error) {
 		n.mu.Unlock()
 	}
 	return rep, err
-}
-
-// LastRecoverInfo reports the most recent recovery's outcome (zero value
-// until the node has recovered at least once): which checkpoint it landed
-// on and whether corrupt durable header words forced a cur→prev fallback.
-func (n *Node) LastRecoverInfo() core.RecoverInfo {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.lastRecover
 }
 
 // ObsHandler returns the node's observability HTTP handler (/metrics,
@@ -560,7 +542,6 @@ func (n *Node) Restart() (int64, error) {
 		return -1, fmt.Errorf("ps: restart: %w", err)
 	}
 	n.adoptEngine(eng)
-	n.lastRecover = eng.RecoverInfo()
 	n.box.set(eng)
 	// This bump subsumes any fence parked against the old engine's state.
 	// (It lands on the closed old server — harmless — and the new server
@@ -577,12 +558,12 @@ func (n *Node) Restart() (int64, error) {
 	return ckpt, nil
 }
 
-// rollbackTo serves the rollback RPC: it swaps in an engine recovered at
-// the requested retained checkpoint and bumps the epoch so every other
-// client re-synchronizes before touching the rolled-back state. Idempotent
-// — rolling back to the checkpoint the engine is already at is a recovery
-// to the same state.
-func (n *Node) rollbackTo(target int64) error {
+// Rollback serves MsgRollback (rpc.Admin): it swaps in an engine
+// recovered at the requested retained checkpoint and bumps the epoch so
+// every other client re-synchronizes before touching the rolled-back
+// state. Idempotent — rolling back to the checkpoint the engine is
+// already at is a recovery to the same state.
+func (n *Node) Rollback(target int64) error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if n.crashed {
@@ -598,7 +579,6 @@ func (n *Node) rollbackTo(target int64) error {
 		return fmt.Errorf("ps: rollback to %d: %w", target, err)
 	}
 	n.adoptEngine(eng)
-	n.lastRecover = eng.RecoverInfo()
 	n.box.set(eng)
 	// This bump subsumes any fence parked against the old engine's state.
 	n.fenceEpochLocked()

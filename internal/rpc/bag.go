@@ -41,16 +41,8 @@ func ValidateBagOffsets(offsets []uint32, nkeys int) error {
 // dedup, like Pull.
 func (c *Client) PullBags(mean bool, offsets []uint32, keys []uint64) ([]float32, error) {
 	b := NewBuffer(MsgPullBag, 0)
-	if mean {
-		b.PutU8(1)
-	} else {
-		b.PutU8(0)
-	}
+	b.PutU8(flag(mean))
 	b.PutU32s(offsets)
 	b.PutKeys(keys)
-	r, err := c.do(b.Bytes())
-	if err != nil {
-		return nil, err
-	}
-	return r.Floats()
+	return c.doFloats(b)
 }

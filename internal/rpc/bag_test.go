@@ -96,13 +96,13 @@ func TestPullBagRoundTripProperty(t *testing.T) {
 			}
 			offsets = append(offsets, uint32(len(keys)))
 		}
-		resp := srv.handle(encodePullBag(mean, offsets, keys))
+		resp := srv.serveOne(encodePullBag(mean, offsets, keys))
 		rd, err := DecodeResponse(resp)
 		if err != nil {
 			return false
 		}
-		got, err := rd.Floats()
-		if err != nil || len(got) != (len(offsets)-1)*dim {
+		got := rd.Floats()
+		if rd.Err() != nil || len(got) != (len(offsets)-1)*dim {
 			return false
 		}
 		want := make([]float32, (len(offsets)-1)*dim)
@@ -127,7 +127,7 @@ func TestPullBagMalformed(t *testing.T) {
 	srv := &Server{engine: testEngine(t), bags: &sumBags{dim: 4}}
 
 	// Legal: zero-length bags pool to the zero vector.
-	resp := srv.handle(encodePullBag(false, []uint32{0, 0, 2, 2}, []uint64{1, 2}))
+	resp := srv.serveOne(encodePullBag(false, []uint32{0, 0, 2, 2}, []uint64{1, 2}))
 	if resp[0] != MsgData {
 		t.Fatalf("zero-length bags rejected: %v", resp)
 	}
@@ -144,7 +144,7 @@ func TestPullBagMalformed(t *testing.T) {
 		"keys cut mid-stream": full[:len(full)-3],
 	}
 	for name, body := range cases {
-		resp := srv.handle(body)
+		resp := srv.serveOne(body)
 		if len(resp) == 0 || resp[0] != MsgErr {
 			t.Errorf("%s: got response %v, want MsgErr", name, resp)
 		}
@@ -152,7 +152,7 @@ func TestPullBagMalformed(t *testing.T) {
 
 	// A server without a bag hook must reject, not panic.
 	bare := &Server{engine: testEngine(t)}
-	if resp := bare.handle(full); resp[0] != MsgErr {
+	if resp := bare.serveOne(full); resp[0] != MsgErr {
 		t.Fatalf("bag-less server answered %v", resp)
 	}
 }
@@ -177,7 +177,7 @@ func FuzzPullBagDecode(f *testing.F) {
 		if n := cut % (len(body) + 1); n > 0 {
 			body = body[:n]
 		}
-		resp := srv.handle(body)
+		resp := srv.serveOne(body)
 		if len(resp) == 0 {
 			t.Fatalf("empty response for body %v", body)
 		}
@@ -226,8 +226,9 @@ func TestPullBagConnectionSurvivesMalformed(t *testing.T) {
 	if resp[0] != MsgData {
 		t.Fatalf("follow-up request answered %v, want MsgData", resp)
 	}
-	got, err := NewReader(resp[1:]).Floats()
-	if err != nil {
+	rd := NewReader(resp[1:])
+	got := rd.Floats()
+	if err := rd.Err(); err != nil {
 		t.Fatal(err)
 	}
 	want := []float32{30, 32, 34, 36} // (10+i)+(20+i) per element

@@ -305,9 +305,9 @@ func (c *Client) hello(epoch int64) error {
 	if err != nil {
 		return err
 	}
-	se, err := r.I64()
-	if err != nil {
-		return err
+	se := r.I64()
+	if r.err != nil {
+		return r.err
 	}
 	c.se = se
 	if c.ep < 0 {
@@ -419,17 +419,6 @@ func retryable(err error) bool {
 	return errors.Is(err, ErrUnavailable) || errors.Is(err, ErrTimeout)
 }
 
-// fencedMsg lists the batch-protocol messages subject to epoch fencing.
-// Hello, Ping, Stats, CompletedCkpt and Rollback are exempt: they are how a
-// fenced client observes and heals the fence.
-func fencedMsg(t byte) bool {
-	switch t {
-	case MsgPull, MsgPush, MsgEndPullPhase, MsgEndBatch, MsgCheckpoint:
-		return true
-	}
-	return false
-}
-
 // backoff returns the jittered exponential delay before retry attempt a
 // (a >= 1). The jitter stream is seeded (RetryPolicy.Seed), never global
 // math/rand, so chaos runs replay.
@@ -456,7 +445,7 @@ func (c *Client) do(body []byte) (*Reader, error) {
 
 // doLocked runs the request with redial + bounded retry. Caller holds c.mu.
 func (c *Client) doLocked(body []byte) (*Reader, error) {
-	op := msgName(body[0])
+	spec := &msgSpecs[body[0]]
 	c.inflight.Add(1)
 	defer c.inflight.Add(-1)
 	attempts := c.opts.Retry.MaxAttempts
@@ -483,10 +472,10 @@ func (c *Client) doLocked(body []byte) (*Reader, error) {
 		// epoch leaves this client fenced until AdoptEpoch. Failing here
 		// (rather than on the wire) keeps the error crisp even when the
 		// server is mid-recovery.
-		if c.opts.Retry.enabled() && c.ep >= 0 && c.se != c.ep && fencedMsg(body[0]) {
+		if c.opts.Retry.enabled() && c.ep >= 0 && c.se != c.ep && spec.fenced {
 			return nil, &EpochError{Addr: c.addr, ClientEpoch: c.ep, ServerEpoch: c.se}
 		}
-		resp, err := c.roundTrip(op, body)
+		resp, err := c.roundTrip(spec.name, body)
 		if err != nil {
 			lastErr = err
 			if !retryable(err) {
@@ -499,33 +488,28 @@ func (c *Client) doLocked(body []byte) (*Reader, error) {
 		c.opts.Budget.OnSuccess()
 		r, err := DecodeResponse(resp)
 		if err != nil {
+			// Attribute a remote rejection to this server; a server-side
+			// fence also records the newer epoch.
 			var ee *EpochError
+			var re *RemoteError
 			if errors.As(err, &ee) {
-				// Server-side fence: record the newer epoch and surface a
-				// fully-attributed error.
 				c.se = ee.ServerEpoch
-				return nil, &EpochError{Addr: c.addr, ClientEpoch: c.ep, ServerEpoch: ee.ServerEpoch}
+				ee.Addr, ee.ClientEpoch = c.addr, c.ep
+			} else if errors.As(err, &re) {
+				re.Addr = c.addr
 			}
-			var ce *RemoteCorruptError
-			if errors.As(err, &ce) {
-				return nil, &RemoteCorruptError{Addr: c.addr, Msg: ce.Msg}
-			}
-			var be *BusyError
-			if errors.As(err, &be) {
-				return nil, &BusyError{Addr: c.addr, Msg: be.Msg}
-			}
-			return nil, err
 		}
-		return r, nil
+		return r, err
 	}
 	return nil, lastErr
 }
 
 // doMutating assigns the next sequence number (0 in legacy mode — no
-// dedup) and runs the request built by build. Retried attempts reuse the
-// same body, hence the same sequence, which is what lets the server dedup
-// replays.
-func (c *Client) doMutating(build func(seq int64) []byte) (*Reader, error) {
+// dedup) and sends a mutating request: the header, the client ID and
+// sequence, then for MsgPush the keys and gradients. Retried attempts
+// reuse the same body, hence the same sequence, which is what lets the
+// server dedup replays.
+func (c *Client) doMutating(msg byte, batch int64, keys []uint64, grads []float32) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var seq int64
@@ -533,47 +517,35 @@ func (c *Client) doMutating(build func(seq int64) []byte) (*Reader, error) {
 		c.seq++
 		seq = c.seq
 	}
-	return c.doLocked(build(seq))
+	b := NewBuffer(msg, batch)
+	b.PutI64(c.id)
+	b.PutI64(seq)
+	if msg == MsgPush {
+		b.PutKeys(keys)
+		b.PutFloats(grads)
+	}
+	_, err := c.doLocked(b.Bytes())
+	return err
 }
 
-// msgName names a message type for error and metric labels.
-func msgName(t byte) string {
-	switch t {
-	case MsgPull:
-		return "pull"
-	case MsgPush:
-		return "push"
-	case MsgEndPullPhase:
-		return "end-pull-phase"
-	case MsgEndBatch:
-		return "end-batch"
-	case MsgCheckpoint:
-		return "checkpoint"
-	case MsgCompletedCkpt:
-		return "completed-checkpoint"
-	case MsgStats:
-		return "stats"
-	case MsgPing:
-		return "ping"
-	case MsgHello:
-		return "hello"
-	case MsgRollback:
-		return "rollback"
-	case MsgScrub:
-		return "scrub"
-	case MsgPullBag:
-		return "pull-bag"
-	case MsgMigrateRange:
-		return "migrate-range"
-	case MsgAdoptRange:
-		return "adopt-range"
-	case MsgDropRange:
-		return "drop-range"
-	case MsgReplicate:
-		return "replicate"
-	default:
-		return fmt.Sprintf("msg-0x%02x", t)
+// doFloats sends a request whose response is a float list.
+func (c *Client) doFloats(b *Buffer) ([]float32, error) {
+	r, err := c.do(b.Bytes())
+	if err != nil {
+		return nil, err
 	}
+	vals := r.Floats()
+	return vals, r.err
+}
+
+// doI64 sends a request whose response is one int64.
+func (c *Client) doI64(b *Buffer) (int64, error) {
+	r, err := c.do(b.Bytes())
+	if err != nil {
+		return 0, err
+	}
+	v := r.I64()
+	return v, r.err
 }
 
 // Pull fetches weights for keys (len(keys)*dim floats). Pull is idempotent,
@@ -581,67 +553,33 @@ func msgName(t byte) string {
 func (c *Client) Pull(batch int64, keys []uint64) ([]float32, error) {
 	b := NewBuffer(MsgPull, batch)
 	b.PutKeys(keys)
-	r, err := c.do(b.Bytes())
-	if err != nil {
-		return nil, err
-	}
-	return r.Floats()
+	return c.doFloats(b)
 }
 
 // Push sends gradients for keys. The request carries the client ID and a
 // sequence number so a retried push is applied at most once.
 func (c *Client) Push(batch int64, keys []uint64, grads []float32) error {
-	_, err := c.doMutating(func(seq int64) []byte {
-		b := NewBuffer(MsgPush, batch)
-		b.PutI64(c.id)
-		b.PutI64(seq)
-		b.PutKeys(keys)
-		b.PutFloats(grads)
-		return b.Bytes()
-	})
-	return err
+	return c.doMutating(MsgPush, batch, keys, grads)
 }
 
 // EndPullPhase signals pull completion for batch.
 func (c *Client) EndPullPhase(batch int64) error {
-	_, err := c.doMutating(func(seq int64) []byte {
-		b := NewBuffer(MsgEndPullPhase, batch)
-		b.PutI64(c.id)
-		b.PutI64(seq)
-		return b.Bytes()
-	})
-	return err
+	return c.doMutating(MsgEndPullPhase, batch, nil, nil)
 }
 
 // EndBatch seals batch.
 func (c *Client) EndBatch(batch int64) error {
-	_, err := c.doMutating(func(seq int64) []byte {
-		b := NewBuffer(MsgEndBatch, batch)
-		b.PutI64(c.id)
-		b.PutI64(seq)
-		return b.Bytes()
-	})
-	return err
+	return c.doMutating(MsgEndBatch, batch, nil, nil)
 }
 
 // RequestCheckpoint asks the node to checkpoint batch.
 func (c *Client) RequestCheckpoint(batch int64) error {
-	_, err := c.doMutating(func(seq int64) []byte {
-		b := NewBuffer(MsgCheckpoint, batch)
-		b.PutI64(c.id)
-		b.PutI64(seq)
-		return b.Bytes()
-	})
-	return err
+	return c.doMutating(MsgCheckpoint, batch, nil, nil)
 }
 
 // CompletedCheckpoint reads the node's durable checkpoint progress.
 func (c *Client) CompletedCheckpoint() (int64, error) {
-	r, err := c.do(NewBuffer(MsgCompletedCkpt, 0).Bytes())
-	if err != nil {
-		return 0, err
-	}
-	return r.I64()
+	return c.doI64(NewBuffer(MsgCompletedCkpt, 0))
 }
 
 // Rollback asks the node to roll its engine back to the given checkpoint
@@ -696,16 +634,11 @@ func (c *Client) PingInfo() (NodeHealth, error) {
 	if err != nil {
 		return NodeHealth{}, err
 	}
-	rtt := time.Since(start)
-	epoch, err := r.I64()
-	if err != nil {
-		return NodeHealth{}, err
+	h := NodeHealth{RTT: time.Since(start), Epoch: r.I64(), Serving: r.U8() == 1}
+	if r.err != nil {
+		return NodeHealth{}, r.err
 	}
-	serving, err := r.U8()
-	if err != nil {
-		return NodeHealth{}, err
-	}
-	return NodeHealth{Epoch: epoch, Serving: serving == 1, RTT: rtt}, nil
+	return h, nil
 }
 
 // MigrateRange exports up to max entries of the given hash intervals with
@@ -721,15 +654,11 @@ func (c *Client) MigrateRange(since int64, afterKey uint64, max int, ivs []HashI
 	if err != nil {
 		return nil, false, err
 	}
-	moreB, err := r.U8()
-	if err != nil {
-		return nil, false, err
+	more, entries := r.U8() == 1, readMigEntries(r)
+	if r.err != nil {
+		return nil, false, r.err
 	}
-	entries, err := readMigEntries(r)
-	if err != nil {
-		return nil, false, err
-	}
-	return entries, moreB == 1, nil
+	return entries, more, nil
 }
 
 // AdoptRange installs migrated entries on the node; they are durable when
@@ -748,11 +677,7 @@ func (c *Client) AdoptRange(entries []MigEntry) error {
 func (c *Client) DropRange(ivs []HashInterval) (int64, error) {
 	b := NewBuffer(MsgDropRange, 0)
 	putIntervals(b, ivs)
-	r, err := c.do(b.Bytes())
-	if err != nil {
-		return 0, err
-	}
-	return r.I64()
+	return c.doI64(b)
 }
 
 // Replicate installs read-only serving replicas of rows (len(keys) rows,

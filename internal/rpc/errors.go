@@ -60,23 +60,6 @@ func (e *EpochError) Is(target error) bool { return target == ErrEpochFenced }
 // fence + rollback protocol.
 var ErrRemoteCorrupt = errors.New("rpc: remote data corruption detected")
 
-// RemoteCorruptError is the typed error for a MsgErrCorrupt response.
-type RemoteCorruptError struct {
-	Addr string // server address (empty when decoded without context)
-	Msg  string // the remote integrity error text
-}
-
-// Error implements error.
-func (e *RemoteCorruptError) Error() string {
-	if e.Addr == "" {
-		return fmt.Sprintf("rpc: remote corruption: %s", e.Msg)
-	}
-	return fmt.Sprintf("rpc: remote corruption at %s: %s", e.Addr, e.Msg)
-}
-
-// Is reports true for ErrRemoteCorrupt targets.
-func (e *RemoteCorruptError) Is(target error) bool { return target == ErrRemoteCorrupt }
-
 // ErrClientClosed is returned by operations on a Client after Close.
 var ErrClientClosed = errors.New("rpc: client closed")
 
@@ -87,22 +70,35 @@ var ErrClientClosed = errors.New("rpc: client closed")
 // but failover-eligible: a replica may well have capacity.
 var ErrBusy = errors.New("rpc: server busy")
 
-// BusyError is the typed error for a MsgErrBusy response.
-type BusyError struct {
+// RemoteError is the typed error for a MsgErr, MsgErrCorrupt or
+// MsgErrBusy response: an error the remote node returned, not a transport
+// failure.
+type RemoteError struct {
 	Addr string // server address (empty when decoded without context)
-	Msg  string // the remote shed/abandon reason
+	Code byte   // MsgErr, MsgErrCorrupt or MsgErrBusy
+	Msg  string // the remote error text
 }
 
 // Error implements error.
-func (e *BusyError) Error() string {
-	if e.Addr == "" {
-		return fmt.Sprintf("rpc: busy: %s", e.Msg)
+func (e *RemoteError) Error() string {
+	kind := "remote"
+	switch e.Code {
+	case MsgErrCorrupt:
+		kind = "remote corruption"
+	case MsgErrBusy:
+		kind = "busy"
 	}
-	return fmt.Sprintf("rpc: busy at %s: %s", e.Addr, e.Msg)
+	if e.Addr == "" {
+		return fmt.Sprintf("rpc: %s: %s", kind, e.Msg)
+	}
+	return fmt.Sprintf("rpc: %s at %s: %s", kind, e.Addr, e.Msg)
 }
 
-// Is reports true for ErrBusy targets.
-func (e *BusyError) Is(target error) bool { return target == ErrBusy }
+// Is maps MsgErrCorrupt to ErrRemoteCorrupt and MsgErrBusy to ErrBusy.
+func (e *RemoteError) Is(target error) bool {
+	return e.Code == MsgErrCorrupt && target == ErrRemoteCorrupt ||
+		e.Code == MsgErrBusy && target == ErrBusy
+}
 
 // IsRecoverable reports whether err is a failure the cluster recovery
 // protocol can heal: a transport failure or timeout (the node may have

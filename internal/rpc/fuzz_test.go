@@ -28,16 +28,8 @@ func TestWireRoundTripProperty(t *testing.T) {
 			return false
 		}
 		r := NewReader(body)
-		typ, err := r.Type()
-		if err != nil || typ != MsgPush {
-			return false
-		}
-		gotBatch, err := r.I64()
-		if err != nil || gotBatch != batch {
-			return false
-		}
-		gotKeys, err := r.Keys()
-		if err != nil || len(gotKeys) != len(keys) {
+		typ, gotBatch, gotKeys, gotVals, gotS := r.U8(), r.I64(), r.Keys(), r.Floats(), r.String()
+		if r.Err() != nil || typ != MsgPush || gotBatch != batch || len(gotKeys) != len(keys) {
 			return false
 		}
 		for i := range keys {
@@ -45,8 +37,7 @@ func TestWireRoundTripProperty(t *testing.T) {
 				return false
 			}
 		}
-		gotVals, err := r.Floats()
-		if err != nil || len(gotVals) != len(vals) {
+		if len(gotVals) != len(vals) {
 			return false
 		}
 		for i := range vals {
@@ -54,8 +45,7 @@ func TestWireRoundTripProperty(t *testing.T) {
 				return false
 			}
 		}
-		gotS, err := r.String()
-		return err == nil && gotS == s
+		return gotS == s
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
@@ -92,12 +82,18 @@ func FuzzFrameTear(f *testing.F) {
 	})
 }
 
+// serveOne runs one request body through dispatch on a fresh connection.
+func (s *Server) serveOne(body []byte) []byte {
+	bound := epochUnbound
+	return s.dispatch(&bound, body)
+}
+
 // TestServerHandleNeverPanics: arbitrary request bodies must produce a
 // response (usually MsgErr), never a panic or a hang.
 func TestServerHandleNeverPanics(t *testing.T) {
 	srv := &Server{engine: testEngine(t)}
 	f := func(body []byte) bool {
-		resp := srv.handle(body)
+		resp := srv.serveOne(body)
 		if len(resp) == 0 {
 			return false
 		}
@@ -122,7 +118,7 @@ func TestServerHandleNeverPanics(t *testing.T) {
 		{MsgPush, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0}, // truncated count
 		{0x7f, 0, 0, 0, 0, 0, 0, 0, 0},             // unknown type
 	} {
-		resp := srv.handle(body)
+		resp := srv.serveOne(body)
 		if len(resp) == 0 || resp[0] != MsgErr {
 			t.Fatalf("malformed body %v got response %v", body, resp)
 		}

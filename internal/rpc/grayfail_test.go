@@ -229,17 +229,26 @@ func TestFrameDeadlineRoundTrip(t *testing.T) {
 }
 
 // TestBusyErrorMappedEndToEnd: a handler error that reports Busy() comes
-// back over the wire as MsgErrBusy and decodes to a *BusyError the
+// back over the wire as MsgErrBusy and decodes to a *RemoteError the
 // failover layer treats as degraded but the retry loop does not retry.
+// shedError reports Busy(), like the serve package's admission-control shed.
+type shedError struct{}
+
+func (shedError) Error() string { return "shed: inflight watermark exceeded" }
+func (shedError) Busy() bool    { return true }
+
 func TestBusyErrorMappedEndToEnd(t *testing.T) {
-	resp := BusyErrBody(errors.New("shed: inflight watermark exceeded"))
+	resp := errResp(shedError{})
 	_, err := DecodeResponse(resp)
 	if err == nil {
 		t.Fatal("busy body decoded as success")
 	}
-	var be *BusyError
-	if !errors.As(err, &be) {
-		t.Fatalf("decoded err = %T, want *BusyError", err)
+	var re *RemoteError
+	if !errors.As(err, &re) || re.Code != MsgErrBusy || re.Msg != "shed: inflight watermark exceeded" {
+		t.Fatalf("decoded err = %#v, want a MsgErrBusy *RemoteError", err)
+	}
+	if errors.Is(err, ErrRemoteCorrupt) {
+		t.Fatal("busy decoded as corruption")
 	}
 	if !errors.Is(err, ErrBusy) {
 		t.Fatalf("err = %v, want Is(ErrBusy)", err)
@@ -268,14 +277,9 @@ func FuzzPingDecode(f *testing.F) {
 		if err != nil {
 			return
 		}
-		epoch, err := r.I64()
-		if err != nil {
-			return
+		epoch, serving := r.I64(), r.U8()
+		if r.Err() != nil && serving != 0 {
+			t.Fatalf("failed decode of %v returned serving %d (epoch %d), want 0", body, serving, epoch)
 		}
-		serving, err := r.U8()
-		if err != nil {
-			return
-		}
-		_, _ = epoch, serving
 	})
 }

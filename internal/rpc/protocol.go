@@ -110,12 +110,43 @@ const (
 	MsgErrBusy byte = 0x86
 )
 
-// Mutating message bodies (Push, EndPullPhase, EndBatch, Checkpoint) carry,
-// directly after the batch ID, a client ID and a client-assigned sequence
-// number. Sequence 0 means "no dedup" (legacy clients); otherwise the
-// server caches the last response per client and replays it when a retry
-// re-delivers the same sequence, making every mutating op at-most-once
-// under retries.
+// msgSpec is the per-type policy of a request message.
+type msgSpec struct {
+	// name labels the request in errors and metrics.
+	name string
+	// fenced requests are rejected when the connection's epoch is stale.
+	// Hello, Ping, Stats, CompletedCkpt, Rollback, Scrub, serving and
+	// migration requests are exempt: they are how a fenced client observes
+	// and heals the fence, or they sit outside the training epoch protocol.
+	fenced bool
+	// mutating bodies carry, directly after the batch ID, a client ID and
+	// a client-assigned sequence number. Sequence 0 means "no dedup"
+	// (legacy clients); otherwise the server caches the last response per
+	// client and replays it when a retry re-delivers the same sequence,
+	// making every mutating op at-most-once under retries.
+	mutating bool
+}
+
+// msgSpecs is the one place that names, fences and deduplicates each
+// request type; unknown types have the zero spec.
+var msgSpecs = [256]msgSpec{
+	MsgPull:          {name: "pull", fenced: true},
+	MsgPush:          {name: "push", fenced: true, mutating: true},
+	MsgEndPullPhase:  {name: "end-pull-phase", fenced: true, mutating: true},
+	MsgEndBatch:      {name: "end-batch", fenced: true, mutating: true},
+	MsgCheckpoint:    {name: "checkpoint", fenced: true, mutating: true},
+	MsgCompletedCkpt: {name: "completed-checkpoint"},
+	MsgStats:         {name: "stats"},
+	MsgPing:          {name: "ping"},
+	MsgHello:         {name: "hello"},
+	MsgRollback:      {name: "rollback"},
+	MsgScrub:         {name: "scrub"},
+	MsgPullBag:       {name: "pull-bag"},
+	MsgMigrateRange:  {name: "migrate-range"},
+	MsgAdoptRange:    {name: "adopt-range"},
+	MsgDropRange:     {name: "drop-range"},
+	MsgReplicate:     {name: "replicate"},
+}
 
 // MaxFrame bounds a frame body; larger frames indicate protocol corruption.
 const MaxFrame = 64 << 20
@@ -250,10 +281,13 @@ func (p *Buffer) PutString(s string) {
 // Bytes returns the built body.
 func (p *Buffer) Bytes() []byte { return p.b }
 
-// Reader decodes frame bodies.
+// Reader decodes frame bodies. The first decode failure sticks: every
+// later read returns a zero value and Err reports the failure, so a
+// decoder reads its fields straight through and checks once.
 type Reader struct {
 	b   []byte
 	off int
+	err error
 }
 
 // NewReader wraps a frame body.
@@ -262,119 +296,115 @@ func NewReader(b []byte) *Reader { return &Reader{b: b} }
 // ErrTruncated indicates a body shorter than its encoding claims.
 var ErrTruncated = errors.New("rpc: truncated frame")
 
-// Type consumes and returns the message type byte.
-func (r *Reader) Type() (byte, error) {
-	if r.off+1 > len(r.b) {
-		return 0, ErrTruncated
+// Err returns the first decode failure, or nil.
+func (r *Reader) Err() error { return r.err }
+
+// fail records err unless an earlier failure already stuck.
+func (r *Reader) fail(err error) {
+	if r.err == nil {
+		r.err = err
 	}
-	t := r.b[r.off]
-	r.off++
-	return t, nil
+}
+
+// take consumes n bytes, or fails with ErrTruncated and returns nil.
+func (r *Reader) take(n int) []byte {
+	if r.err != nil {
+		return nil
+	}
+	if n > len(r.b)-r.off {
+		r.fail(ErrTruncated)
+		return nil
+	}
+	p := r.b[r.off : r.off+n]
+	r.off += n
+	return p
+}
+
+// count consumes a uint32 element count and checks that the body still
+// holds that many elements of size bytes, before anything is allocated.
+func (r *Reader) count(size int) int {
+	p := r.take(4)
+	if p == nil {
+		return 0
+	}
+	n := int(binary.LittleEndian.Uint32(p))
+	if n*size > len(r.b)-r.off {
+		r.fail(ErrTruncated)
+		return 0
+	}
+	return n
+}
+
+// U8 consumes one raw byte.
+func (r *Reader) U8() byte {
+	if p := r.take(1); p != nil {
+		return p[0]
+	}
+	return 0
 }
 
 // I64 consumes an int64.
-func (r *Reader) I64() (int64, error) {
-	if r.off+8 > len(r.b) {
-		return 0, ErrTruncated
+func (r *Reader) I64() int64 {
+	if p := r.take(8); p != nil {
+		return int64(binary.LittleEndian.Uint64(p))
 	}
-	v := int64(binary.LittleEndian.Uint64(r.b[r.off:]))
-	r.off += 8
-	return v, nil
+	return 0
 }
 
 // Keys consumes a count-prefixed key list.
-func (r *Reader) Keys() ([]uint64, error) {
-	n, err := r.count()
-	if err != nil {
-		return nil, err
-	}
-	if r.off+8*n > len(r.b) {
-		return nil, ErrTruncated
+func (r *Reader) Keys() []uint64 {
+	n := r.count(8)
+	if r.err != nil {
+		return nil
 	}
 	keys := make([]uint64, n)
 	for i := range keys {
 		keys[i] = binary.LittleEndian.Uint64(r.b[r.off:])
 		r.off += 8
 	}
-	return keys, nil
+	return keys
 }
 
 // Floats consumes a count-prefixed float32 list.
-func (r *Reader) Floats() ([]float32, error) {
-	n, err := r.count()
-	if err != nil {
-		return nil, err
-	}
-	if r.off+4*n > len(r.b) {
-		return nil, ErrTruncated
+func (r *Reader) Floats() []float32 {
+	n := r.count(4)
+	if r.err != nil {
+		return nil
 	}
 	vals := make([]float32, n)
 	for i := range vals {
 		vals[i] = math.Float32frombits(binary.LittleEndian.Uint32(r.b[r.off:]))
 		r.off += 4
 	}
-	return vals, nil
-}
-
-// U8 consumes one raw byte.
-func (r *Reader) U8() (byte, error) {
-	if r.off+1 > len(r.b) {
-		return 0, ErrTruncated
-	}
-	v := r.b[r.off]
-	r.off++
-	return v, nil
+	return vals
 }
 
 // U32s consumes a count-prefixed uint32 list.
-func (r *Reader) U32s() ([]uint32, error) {
-	n, err := r.count()
-	if err != nil {
-		return nil, err
-	}
-	if r.off+4*n > len(r.b) {
-		return nil, ErrTruncated
+func (r *Reader) U32s() []uint32 {
+	n := r.count(4)
+	if r.err != nil {
+		return nil
 	}
 	vals := make([]uint32, n)
 	for i := range vals {
 		vals[i] = binary.LittleEndian.Uint32(r.b[r.off:])
 		r.off += 4
 	}
-	return vals, nil
+	return vals
 }
 
 // String consumes a count-prefixed string.
-func (r *Reader) String() (string, error) {
-	n, err := r.count()
-	if err != nil {
-		return "", err
-	}
-	if r.off+n > len(r.b) {
-		return "", ErrTruncated
-	}
-	s := string(r.b[r.off : r.off+n])
-	r.off += n
-	return s, nil
-}
-
-func (r *Reader) count() (int, error) {
-	if r.off+4 > len(r.b) {
-		return 0, ErrTruncated
-	}
-	n := int(binary.LittleEndian.Uint32(r.b[r.off:]))
-	r.off += 4
-	if n < 0 || n > MaxFrame {
-		return 0, fmt.Errorf("rpc: bad count %d", n)
-	}
-	return n, nil
+func (r *Reader) String() string {
+	return string(r.take(r.count(1)))
 }
 
 // OKBody is the canonical success response body.
 func OKBody() []byte { return []byte{MsgOK} }
 
-// ErrBody encodes an error response.
-func ErrBody(err error) []byte {
-	b := &Buffer{b: []byte{MsgErr}}
+// ErrBody encodes an error response: code is MsgErr, MsgErrCorrupt or
+// MsgErrBusy, and the payload is the error text.
+func ErrBody(code byte, err error) []byte {
+	b := &Buffer{b: []byte{code}}
 	b.PutString(err.Error())
 	return b.Bytes()
 }
@@ -384,20 +414,6 @@ func ErrBody(err error) []byte {
 func EpochErrBody(serverEpoch int64) []byte {
 	b := &Buffer{b: []byte{MsgErrEpoch}}
 	b.PutI64(serverEpoch)
-	return b.Bytes()
-}
-
-// CorruptErrBody encodes a data-integrity error response.
-func CorruptErrBody(err error) []byte {
-	b := &Buffer{b: []byte{MsgErrCorrupt}}
-	b.PutString(err.Error())
-	return b.Bytes()
-}
-
-// BusyErrBody encodes an overload-shed (or deadline-abandoned) response.
-func BusyErrBody(err error) []byte {
-	b := &Buffer{b: []byte{MsgErrBusy}}
-	b.PutString(err.Error())
 	return b.Bytes()
 }
 
@@ -450,19 +466,17 @@ func putIntervals(b *Buffer, ivs []HashInterval) {
 }
 
 // readIntervals consumes a count-prefixed flat (lo, hi) pair list.
-func readIntervals(r *Reader) ([]HashInterval, error) {
-	flat, err := r.Keys()
-	if err != nil {
-		return nil, err
-	}
+func readIntervals(r *Reader) []HashInterval {
+	flat := r.Keys()
 	if len(flat)%2 != 0 {
-		return nil, fmt.Errorf("rpc: odd interval list length %d", len(flat))
+		r.fail(fmt.Errorf("rpc: odd interval list length %d", len(flat)))
+		return nil
 	}
 	ivs := make([]HashInterval, len(flat)/2)
 	for i := range ivs {
 		ivs[i] = HashInterval{Lo: flat[2*i], Hi: flat[2*i+1]}
 	}
-	return ivs, nil
+	return ivs
 }
 
 // putMigEntries appends a count-prefixed migration entry list.
@@ -475,77 +489,41 @@ func putMigEntries(b *Buffer, entries []MigEntry) {
 	}
 }
 
-// readMigEntries consumes a count-prefixed migration entry list.
-func readMigEntries(r *Reader) ([]MigEntry, error) {
-	n, err := r.I64()
-	if err != nil {
-		return nil, err
+// readMigEntries consumes a count-prefixed migration entry list. Each
+// entry occupies at least 20 bytes, so a count the body cannot hold fails
+// before anything is allocated.
+func readMigEntries(r *Reader) []MigEntry {
+	n := r.I64()
+	if n < 0 || n > int64(len(r.b)-r.off)/20 {
+		r.fail(fmt.Errorf("rpc: bad entry count %d", n))
+		return nil
 	}
-	if n < 0 || n > MaxFrame {
-		return nil, fmt.Errorf("rpc: bad entry count %d", n)
+	entries := make([]MigEntry, n)
+	for i := range entries {
+		entries[i] = MigEntry{Key: uint64(r.I64()), Version: r.I64(), Data: r.Floats()}
 	}
-	// Preallocate from the body size, not the claimed count: each entry
-	// occupies at least 20 bytes, so a hostile count cannot balloon memory.
-	prealloc := n
-	if lim := int64(len(r.b)/20 + 1); prealloc > lim {
-		prealloc = lim
-	}
-	entries := make([]MigEntry, 0, prealloc)
-	for i := int64(0); i < n; i++ {
-		key, err := r.I64()
-		if err != nil {
-			return nil, err
-		}
-		version, err := r.I64()
-		if err != nil {
-			return nil, err
-		}
-		data, err := r.Floats()
-		if err != nil {
-			return nil, err
-		}
-		entries = append(entries, MigEntry{Key: uint64(key), Version: version, Data: data})
-	}
-	return entries, nil
+	return entries
 }
 
 // DecodeResponse inspects a response body: nil error for MsgOK/MsgData
-// (returning the remaining reader), the remote error for MsgErr, or a typed
-// *EpochError for MsgErrEpoch.
+// (returning the remaining reader), a *RemoteError for MsgErr,
+// MsgErrCorrupt and MsgErrBusy, or an *EpochError for MsgErrEpoch.
 func DecodeResponse(body []byte) (*Reader, error) {
 	r := NewReader(body)
-	t, err := r.Type()
-	if err != nil {
-		return nil, err
-	}
+	t := r.U8()
+	var err error
 	switch t {
 	case MsgOK, MsgData:
 		return r, nil
-	case MsgErr:
-		msg, err := r.String()
-		if err != nil {
-			return nil, err
-		}
-		return nil, fmt.Errorf("rpc: remote: %s", msg)
+	case MsgErr, MsgErrCorrupt, MsgErrBusy:
+		err = &RemoteError{Code: t, Msg: r.String()}
 	case MsgErrEpoch:
-		se, err := r.I64()
-		if err != nil {
-			return nil, err
-		}
-		return nil, &EpochError{ServerEpoch: se, ClientEpoch: -1}
-	case MsgErrCorrupt:
-		msg, err := r.String()
-		if err != nil {
-			return nil, err
-		}
-		return nil, &RemoteCorruptError{Msg: msg}
-	case MsgErrBusy:
-		msg, err := r.String()
-		if err != nil {
-			return nil, err
-		}
-		return nil, &BusyError{Msg: msg}
+		err = &EpochError{ServerEpoch: r.I64(), ClientEpoch: -1}
 	default:
-		return nil, fmt.Errorf("rpc: unexpected response type 0x%02x", t)
+		r.fail(fmt.Errorf("rpc: unexpected response type 0x%02x", t))
 	}
+	if r.err != nil {
+		return nil, r.err
+	}
+	return nil, err
 }

@@ -45,25 +45,21 @@ func TestBufferReaderRoundTrip(t *testing.T) {
 	b.PutString("hello")
 
 	r := NewReader(b.Bytes())
-	typ, err := r.Type()
-	if err != nil || typ != MsgPull {
-		t.Fatalf("type = %v, %v", typ, err)
+	typ, batch, keys, vals, s := r.U8(), r.I64(), r.Keys(), r.Floats(), r.String()
+	if err := r.Err(); err != nil {
+		t.Fatal(err)
 	}
-	batch, err := r.I64()
-	if err != nil || batch != 42 {
-		t.Fatalf("batch = %d, %v", batch, err)
+	if typ != MsgPull || batch != 42 {
+		t.Fatalf("header = %v, %d", typ, batch)
 	}
-	keys, err := r.Keys()
-	if err != nil || len(keys) != 3 || keys[2] != 9 {
-		t.Fatalf("keys = %v, %v", keys, err)
+	if len(keys) != 3 || keys[2] != 9 {
+		t.Fatalf("keys = %v", keys)
 	}
-	vals, err := r.Floats()
-	if err != nil || vals[0] != 1.5 || vals[1] != -2.5 {
-		t.Fatalf("floats = %v, %v", vals, err)
+	if vals[0] != 1.5 || vals[1] != -2.5 {
+		t.Fatalf("floats = %v", vals)
 	}
-	s, err := r.String()
-	if err != nil || s != "hello" {
-		t.Fatalf("string = %q, %v", s, err)
+	if s != "hello" {
+		t.Fatalf("string = %q", s)
 	}
 }
 
@@ -73,21 +69,20 @@ func TestReaderTruncation(t *testing.T) {
 	full := b.Bytes()
 	for cut := 1; cut < len(full); cut++ {
 		r := NewReader(full[:cut])
-		_, err1 := r.Type()
-		if err1 != nil {
-			continue
+		r.U8()
+		r.I64()
+		if keys := r.Keys(); r.Err() == nil {
+			t.Fatalf("truncated body at %d decoded fully: %v", cut, keys)
 		}
-		if _, err := r.I64(); err != nil {
-			continue
-		}
-		if _, err := r.Keys(); err == nil && cut < len(full) {
-			t.Fatalf("truncated body at %d decoded fully", cut)
+		// The failure sticks: later reads yield zero values.
+		if v := r.I64(); v != 0 || !errors.Is(r.Err(), ErrTruncated) {
+			t.Fatalf("read after failure at %d = %d, err %v", cut, v, r.Err())
 		}
 	}
 }
 
 func TestDecodeResponseError(t *testing.T) {
-	if _, err := DecodeResponse(ErrBody(errors.New("boom"))); err == nil || err.Error() != "rpc: remote: boom" {
+	if _, err := DecodeResponse(ErrBody(MsgErr, errors.New("boom"))); err == nil || err.Error() != "rpc: remote: boom" {
 		t.Fatalf("err = %v", err)
 	}
 	if _, err := DecodeResponse(OKBody()); err != nil {

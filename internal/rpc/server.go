@@ -27,37 +27,40 @@ type ServerOptions struct {
 	// Label is the injector stream label for this server's connections;
 	// it defaults to "server".
 	Label string
-	// Rollback, when set, serves MsgRollback by rolling the node's engine
-	// back to the requested checkpoint. Nil rejects rollback requests.
-	Rollback func(target int64) error
-	// Scrub, when set, serves MsgScrub by running one full integrity pass
-	// over the node's persisted records. Nil rejects scrub requests.
-	Scrub func() (psengine.ScrubReport, error)
+	// Admin, when set, serves the node-administration requests:
+	// MsgRollback, MsgScrub, MsgMigrateRange, MsgAdoptRange, MsgDropRange
+	// and MsgReplicate. Nil rejects them with MsgErr.
+	Admin Admin
 	// Bags, when set, serves MsgPullBag (the serving tier's pooled
 	// embedding-bag gather). Nil rejects bag requests with MsgErr; the
 	// connection stays alive either way.
 	Bags BagServer
-	// Migrate, when set, serves MsgMigrateRange: export up to max entries
-	// of the given hash intervals with dataVersion >= since and key >
-	// afterKey, in ascending key order, with a more flag. Nil rejects
-	// migration exports.
-	Migrate func(since int64, afterKey uint64, max int, ivs []HashInterval) ([]MigEntry, bool, error)
-	// Adopt, when set, serves MsgAdoptRange by installing migrated entries
-	// (durably, before replying). Nil rejects adoptions.
-	Adopt func(entries []MigEntry) error
-	// Drop, when set, serves MsgDropRange by removing the intervals' keys
-	// from the node's index, cache and durable records, returning how many
-	// entries were dropped. Nil rejects drops.
-	Drop func(ivs []HashInterval) (int, error)
-	// Replicate, when set, serves MsgReplicate by installing read-only
-	// serving replicas of the given rows. Nil rejects replication pushes.
-	Replicate func(keys []uint64, rows []float32) error
 	// Obs, when set, receives server metrics: rpc_server_pull_ns /
 	// rpc_server_push_ns / rpc_server_other_ns request-service histograms,
 	// rpc_server_bytes_in/out, rpc_server_requests, the rpc_server_conns
 	// gauge, and the fault-tolerance counters rpc_server_epoch_rejects,
 	// rpc_server_dedup_hits and rpc_server_deadline_abandoned.
 	Obs *obs.Registry
+}
+
+// Admin is the node-administration surface a node installs
+// (ServerOptions.Admin).
+type Admin interface {
+	// Rollback rolls the node's engine back to the target checkpoint.
+	Rollback(target int64) error
+	// Scrub runs one full integrity pass over the node's persisted records.
+	Scrub() (psengine.ScrubReport, error)
+	// MigrateRange exports up to max entries of the given hash intervals
+	// with dataVersion >= since and key > afterKey, in ascending key
+	// order, with a more flag.
+	MigrateRange(since int64, afterKey uint64, max int, ivs []HashInterval) ([]MigEntry, bool, error)
+	// AdoptRange installs migrated entries, durably before returning.
+	AdoptRange(entries []MigEntry) error
+	// DropRange removes the intervals' keys from the node's index, cache
+	// and durable records, returning how many entries were dropped.
+	DropRange(ivs []HashInterval) (int, error)
+	// Replicate installs read-only serving replicas of the given rows.
+	Replicate(keys []uint64, rows []float32) error
 }
 
 // advancer is the optional engine hook the MsgCompletedCkpt handler drives:
@@ -89,18 +92,13 @@ const epochUnbound = int64(-2)
 // Mutating requests carrying a client sequence number are deduplicated:
 // a retry of the last request replays the cached response.
 type Server struct {
-	engine    psengine.Engine
-	ln        net.Listener
-	epoch     atomic.Int64
-	inject    *faultinject.Injector
-	label     string
-	rollback  func(target int64) error
-	scrub     func() (psengine.ScrubReport, error)
-	bags      BagServer
-	migrate   func(since int64, afterKey uint64, max int, ivs []HashInterval) ([]MigEntry, bool, error)
-	adopt     func(entries []MigEntry) error
-	drop      func(ivs []HashInterval) (int, error)
-	replicate func(keys []uint64, rows []float32) error
+	engine psengine.Engine
+	ln     net.Listener
+	epoch  atomic.Int64
+	inject *faultinject.Injector
+	label  string
+	admin  Admin
+	bags   BagServer
 
 	mu     sync.Mutex
 	conns  map[net.Conn]struct{}
@@ -141,19 +139,14 @@ func ServeOpts(addr string, engine psengine.Engine, opts ServerOptions) (*Server
 		return nil, fmt.Errorf("rpc: listen: %w", err)
 	}
 	s := &Server{
-		engine:    engine,
-		ln:        ln,
-		inject:    opts.Inject,
-		label:     opts.Label,
-		rollback:  opts.Rollback,
-		scrub:     opts.Scrub,
-		bags:      opts.Bags,
-		migrate:   opts.Migrate,
-		adopt:     opts.Adopt,
-		drop:      opts.Drop,
-		replicate: opts.Replicate,
-		conns:     make(map[net.Conn]struct{}),
-		now:       time.Now,
+		engine: engine,
+		ln:     ln,
+		inject: opts.Inject,
+		label:  opts.Label,
+		admin:  opts.Admin,
+		bags:   opts.Bags,
+		conns:  make(map[net.Conn]struct{}),
+		now:    time.Now,
 	}
 	s.epoch.Store(opts.Epoch)
 	if s.label == "" {
@@ -269,22 +262,24 @@ func (s *Server) serveConn(conn net.Conn) {
 func (s *Server) dispatchDeadline(bound *int64, body []byte, arrival time.Time, deadline time.Duration) []byte {
 	if deadline > 0 && s.now().Sub(arrival) >= deadline {
 		s.abandoned.Add(1)
-		return BusyErrBody(fmt.Errorf("deadline %v expired before execution", deadline))
+		return ErrBody(MsgErrBusy, fmt.Errorf("deadline %v expired before execution", deadline))
 	}
 	return s.dispatch(bound, body)
 }
 
-// dispatch applies per-connection epoch fencing and per-client dedup, then
-// delegates to handle. bound is the connection's epoch binding state.
+// dispatch decodes the request header once — type, batch, and for
+// mutating types the client ID and sequence — then applies the
+// connection's epoch fence and the per-client dedup before delegating to
+// handle. bound is the connection's epoch binding state.
 func (s *Server) dispatch(bound *int64, body []byte) []byte {
-	if len(body) == 0 {
-		return ErrBody(ErrTruncated)
+	r := NewReader(body)
+	t, batch := r.U8(), r.I64()
+	spec := &msgSpecs[t]
+	var client, seq int64
+	if spec.mutating {
+		client, seq = r.I64(), r.I64()
 	}
-	t := body[0]
-	if t == MsgHello {
-		return s.handleHello(bound, body)
-	}
-	if fencedMsg(t) {
+	if spec.fenced {
 		cur := s.epoch.Load()
 		if *bound == epochUnbound {
 			*bound = cur // legacy client: lazily adopt the current epoch
@@ -294,155 +289,87 @@ func (s *Server) dispatch(bound *int64, body []byte) []byte {
 			return EpochErrBody(cur)
 		}
 	}
-	if mutatingMsg(t) {
-		return s.handleMutating(body)
+	if r.err != nil {
+		return ErrBody(MsgErr, r.err)
 	}
-	return s.handle(body)
+	if t == MsgHello {
+		return s.hello(bound, r)
+	}
+	if !spec.mutating || seq == 0 {
+		return s.handle(t, batch, r)
+	}
+	s.dedupMu.Lock()
+	last, ok := s.dedup[client]
+	s.dedupMu.Unlock()
+	if ok && seq == last.seq {
+		// Retry of the last request: the mutation already ran (or its
+		// response was lost in flight after running); replay it.
+		s.dedupHits.Add(1)
+		return last.resp
+	}
+	if ok && seq < last.seq {
+		return ErrBody(MsgErr, fmt.Errorf("stale sequence %d from client %d (last %d)", seq, client, last.seq))
+	}
+	resp := s.handle(t, batch, r)
+	s.dedupMu.Lock()
+	if s.dedup == nil {
+		s.dedup = make(map[int64]dedupEntry)
+	}
+	s.dedup[client] = dedupEntry{seq: seq, resp: resp}
+	s.dedupMu.Unlock()
+	return resp
 }
 
-// handleHello binds the connection to an epoch and replies with the
-// server's current one. A client epoch < 0 adopts the current epoch.
-func (s *Server) handleHello(bound *int64, body []byte) []byte {
-	r := NewReader(body)
-	r.Type()
-	if _, err := r.I64(); err != nil { // batch field, unused
-		return ErrBody(err)
-	}
-	clientEpoch, err := r.I64()
-	if err != nil {
-		return ErrBody(err)
-	}
-	if _, err := r.I64(); err != nil { // client ID, informational
-		return ErrBody(err)
+// hello binds the connection to an epoch and replies with the server's
+// current one. A client epoch < 0 adopts the current epoch.
+func (s *Server) hello(bound *int64, r *Reader) []byte {
+	clientEpoch := r.I64()
+	r.I64() // client ID, informational
+	if r.err != nil {
+		return ErrBody(MsgErr, r.err)
 	}
 	cur := s.epoch.Load()
 	if clientEpoch < 0 {
 		clientEpoch = cur
 	}
 	*bound = clientEpoch
-	out := &Buffer{b: []byte{MsgData}}
-	out.PutI64(cur)
-	return out.Bytes()
+	return i64Body(cur)
 }
 
-// mutatingMsg lists the messages that carry a clientID+seq pair and are
-// subject to at-most-once dedup.
-func mutatingMsg(t byte) bool {
+// handle executes one request whose header dispatch already decoded and
+// returns the response body.
+func (s *Server) handle(t byte, batch int64, r *Reader) []byte {
 	switch t {
-	case MsgPush, MsgEndPullPhase, MsgEndBatch, MsgCheckpoint:
-		return true
-	}
-	return false
-}
-
-// handleMutating peeks the clientID+seq pair that mutating bodies carry
-// after the batch field, consults the dedup cache, and stores the response
-// for replay. Sequence 0 disables dedup (legacy clients).
-func (s *Server) handleMutating(body []byte) []byte {
-	r := NewReader(body)
-	r.Type()
-	if _, err := r.I64(); err != nil { // batch
-		return ErrBody(err)
-	}
-	clientID, err := r.I64()
-	if err != nil {
-		return ErrBody(err)
-	}
-	seq, err := r.I64()
-	if err != nil {
-		return ErrBody(err)
-	}
-	if seq == 0 {
-		return s.handle(body)
-	}
-	s.dedupMu.Lock()
-	if s.dedup == nil {
-		s.dedup = make(map[int64]dedupEntry)
-	}
-	last, ok := s.dedup[clientID]
-	s.dedupMu.Unlock()
-	if ok {
-		if seq == last.seq {
-			// Retry of the last request: the mutation already ran (or its
-			// response was lost in flight after running); replay it.
-			s.dedupHits.Add(1)
-			return last.resp
-		}
-		if seq < last.seq {
-			return ErrBody(fmt.Errorf("stale sequence %d from client %d (last %d)",
-				seq, clientID, last.seq))
-		}
-	}
-	resp := s.handle(body)
-	s.dedupMu.Lock()
-	if s.dedup == nil {
-		s.dedup = make(map[int64]dedupEntry)
-	}
-	s.dedup[clientID] = dedupEntry{seq: seq, resp: resp}
-	s.dedupMu.Unlock()
-	return resp
-}
-
-// handle dispatches one request body and returns the response body. It
-// performs no fencing or dedup — dispatch layers those on top — so legacy
-// in-process callers (tests, fuzzers) can exercise it directly.
-func (s *Server) handle(body []byte) []byte {
-	r := NewReader(body)
-	t, err := r.Type()
-	if err != nil {
-		return ErrBody(err)
-	}
-	batch, err := r.I64()
-	if err != nil {
-		return ErrBody(err)
-	}
-	if mutatingMsg(t) {
-		// Skip the clientID+seq pair; handleMutating already consumed its
-		// meaning.
-		if _, err := r.I64(); err != nil {
-			return ErrBody(err)
-		}
-		if _, err := r.I64(); err != nil {
-			return ErrBody(err)
+	case MsgRollback, MsgScrub, MsgMigrateRange, MsgAdoptRange, MsgDropRange, MsgReplicate:
+		if s.admin == nil {
+			return ErrBody(MsgErr, fmt.Errorf("%s unsupported by this node", msgSpecs[t].name))
 		}
 	}
 	switch t {
 	case MsgPull:
-		keys, err := r.Keys()
-		if err != nil {
-			return ErrBody(err)
+		keys := r.Keys()
+		if r.err != nil {
+			return ErrBody(MsgErr, r.err)
 		}
 		dst := make([]float32, len(keys)*s.engine.Dim())
 		if err := s.engine.Pull(batch, keys, dst); err != nil {
 			return errResp(err)
 		}
-		out := &Buffer{b: []byte{MsgData}}
-		out.PutFloats(dst)
-		return out.Bytes()
+		return floatsBody(dst)
 	case MsgPush:
-		keys, err := r.Keys()
-		if err != nil {
-			return ErrBody(err)
+		keys, grads := r.Keys(), r.Floats()
+		if r.err != nil {
+			return ErrBody(MsgErr, r.err)
 		}
-		grads, err := r.Floats()
-		if err != nil {
-			return ErrBody(err)
-		}
-		if err := s.engine.Push(batch, keys, grads); err != nil {
-			return errResp(err)
-		}
-		return OKBody()
+		return okOr(s.engine.Push(batch, keys, grads))
 	case MsgEndPullPhase:
 		s.engine.EndPullPhase(batch)
 		return OKBody()
 	case MsgEndBatch:
-		if err := s.engine.EndBatch(batch); err != nil {
-			return errResp(err)
-		}
-		return OKBody()
+		return okOr(s.engine.EndBatch(batch))
 	case MsgCheckpoint:
 		if err := s.engine.RequestCheckpoint(batch); err != nil {
-			return ErrBody(err)
+			return ErrBody(MsgErr, err)
 		}
 		return OKBody()
 	case MsgCompletedCkpt:
@@ -454,173 +381,101 @@ func (s *Server) handle(body []byte) []byte {
 				return errResp(err)
 			}
 		}
-		out := &Buffer{b: []byte{MsgData}}
-		out.PutI64(s.engine.CompletedCheckpoint())
-		return out.Bytes()
-	case MsgRollback:
-		if s.rollback == nil {
-			return ErrBody(fmt.Errorf("rollback unsupported by this node"))
-		}
-		if err := s.rollback(batch); err != nil {
-			return errResp(err)
-		}
-		return OKBody()
-	case MsgScrub:
-		if s.scrub == nil {
-			return ErrBody(fmt.Errorf("scrub unsupported by this node"))
-		}
-		rep, err := s.scrub()
-		if err != nil {
-			return errResp(err)
-		}
-		out := &Buffer{b: []byte{MsgData}}
-		for _, v := range []int64{rep.Scanned, rep.Corrupt, rep.Repaired,
-			rep.Restored, rep.Fenced, rep.Quarantined} {
-			out.PutI64(v)
-		}
-		return out.Bytes()
-	case MsgPullBag:
-		return s.handlePullBag(r)
+		return i64Body(s.engine.CompletedCheckpoint())
 	case MsgStats:
 		st := s.engine.Stats()
-		out := &Buffer{b: []byte{MsgData}}
-		for _, v := range []int64{st.Entries, st.CachedEntries, st.Hits, st.Misses,
-			st.PMemReads, st.PMemWrites, st.Evictions, st.CheckpointsDone} {
-			out.PutI64(v)
-		}
-		return out.Bytes()
-	case MsgMigrateRange:
-		// The batch field carries the delta floor (since).
-		if s.migrate == nil {
-			return ErrBody(fmt.Errorf("migration unsupported by this node"))
-		}
-		afterKey, err := r.I64()
-		if err != nil {
-			return ErrBody(err)
-		}
-		max, err := r.I64()
-		if err != nil {
-			return ErrBody(err)
-		}
-		ivs, err := readIntervals(r)
-		if err != nil {
-			return ErrBody(err)
-		}
-		entries, more, err := s.migrate(batch, uint64(afterKey), int(max), ivs)
-		if err != nil {
-			return errResp(err)
-		}
-		out := &Buffer{b: []byte{MsgData}}
-		if more {
-			out.PutU8(1)
-		} else {
-			out.PutU8(0)
-		}
-		putMigEntries(out, entries)
-		return out.Bytes()
-	case MsgAdoptRange:
-		if s.adopt == nil {
-			return ErrBody(fmt.Errorf("migration unsupported by this node"))
-		}
-		entries, err := readMigEntries(r)
-		if err != nil {
-			return ErrBody(err)
-		}
-		if err := s.adopt(entries); err != nil {
-			return errResp(err)
-		}
-		return OKBody()
-	case MsgDropRange:
-		if s.drop == nil {
-			return ErrBody(fmt.Errorf("migration unsupported by this node"))
-		}
-		ivs, err := readIntervals(r)
-		if err != nil {
-			return ErrBody(err)
-		}
-		n, err := s.drop(ivs)
-		if err != nil {
-			return errResp(err)
-		}
-		out := &Buffer{b: []byte{MsgData}}
-		out.PutI64(int64(n))
-		return out.Bytes()
-	case MsgReplicate:
-		if s.replicate == nil {
-			return ErrBody(fmt.Errorf("replication unsupported by this node"))
-		}
-		keys, err := r.Keys()
-		if err != nil {
-			return ErrBody(err)
-		}
-		rows, err := r.Floats()
-		if err != nil {
-			return ErrBody(err)
-		}
-		if len(keys) > 0 && (len(rows) == 0 || len(rows)%len(keys) != 0) {
-			return ErrBody(fmt.Errorf("rpc: %d replica rows do not divide into %d keys", len(rows), len(keys)))
-		}
-		if err := s.replicate(keys, rows); err != nil {
-			return errResp(err)
-		}
-		return OKBody()
+		return i64Body(st.Entries, st.CachedEntries, st.Hits, st.Misses,
+			st.PMemReads, st.PMemWrites, st.Evictions, st.CheckpointsDone)
 	case MsgPing:
 		// The health probe reports the node's epoch and whether it serves
 		// bag reads; legacy callers decode the response as a bare OK/Data
 		// and ignore the payload.
-		out := &Buffer{b: []byte{MsgData}}
+		out := dataBuffer()
 		out.PutI64(s.epoch.Load())
-		if s.bags != nil {
-			out.PutU8(1)
-		} else {
-			out.PutU8(0)
-		}
+		out.PutU8(flag(s.bags != nil))
 		return out.Bytes()
+	case MsgPullBag:
+		return s.handlePullBag(r)
+	case MsgRollback:
+		return okOr(s.admin.Rollback(batch))
+	case MsgScrub:
+		rep, err := s.admin.Scrub()
+		if err != nil {
+			return errResp(err)
+		}
+		return i64Body(rep.Scanned, rep.Corrupt, rep.Repaired, rep.Restored, rep.Fenced, rep.Quarantined)
+	case MsgMigrateRange:
+		// The batch field carries the delta floor (since).
+		afterKey, max, ivs := uint64(r.I64()), int(r.I64()), readIntervals(r)
+		if r.err != nil {
+			return ErrBody(MsgErr, r.err)
+		}
+		entries, more, err := s.admin.MigrateRange(batch, afterKey, max, ivs)
+		if err != nil {
+			return errResp(err)
+		}
+		out := dataBuffer()
+		out.PutU8(flag(more))
+		putMigEntries(out, entries)
+		return out.Bytes()
+	case MsgAdoptRange:
+		entries := readMigEntries(r)
+		if r.err != nil {
+			return ErrBody(MsgErr, r.err)
+		}
+		return okOr(s.admin.AdoptRange(entries))
+	case MsgDropRange:
+		ivs := readIntervals(r)
+		if r.err != nil {
+			return ErrBody(MsgErr, r.err)
+		}
+		n, err := s.admin.DropRange(ivs)
+		if err != nil {
+			return errResp(err)
+		}
+		return i64Body(int64(n))
+	case MsgReplicate:
+		keys, rows := r.Keys(), r.Floats()
+		if len(keys) > 0 && (len(rows) == 0 || len(rows)%len(keys) != 0) {
+			r.fail(fmt.Errorf("rpc: %d replica rows do not divide into %d keys", len(rows), len(keys)))
+		}
+		if r.err != nil {
+			return ErrBody(MsgErr, r.err)
+		}
+		return okOr(s.admin.Replicate(keys, rows))
 	default:
-		return ErrBody(fmt.Errorf("unknown message type 0x%02x", t))
+		return ErrBody(MsgErr, fmt.Errorf("unknown message type 0x%02x", t))
 	}
 }
 
-// handlePullBag serves one MsgPullBag body (type and batch already
-// consumed). Malformed bags — bad pooling mode, truncated or inconsistent
-// offsets, offsets past the end of the key list — are answered with
-// MsgErr; the connection stays alive (serveConn only drops a connection on
-// transport failure, never on an application error).
+// handlePullBag serves one MsgPullBag body (header already consumed).
+// Malformed bags — bad pooling mode, truncated or inconsistent offsets,
+// offsets past the end of the key list — are answered with MsgErr; the
+// connection stays alive (serveConn only drops a connection on transport
+// failure, never on an application error).
 func (s *Server) handlePullBag(r *Reader) []byte {
 	if s.bags == nil {
-		return ErrBody(fmt.Errorf("bag serving unsupported by this node"))
+		return ErrBody(MsgErr, fmt.Errorf("bag serving unsupported by this node"))
 	}
-	mode, err := r.U8()
-	if err != nil {
-		return ErrBody(err)
-	}
+	mode := r.U8()
 	if mode > 1 {
-		return ErrBody(fmt.Errorf("rpc: bad pooling mode %d", mode))
+		r.fail(fmt.Errorf("rpc: bad pooling mode %d", mode))
 	}
-	offsets, err := r.U32s()
-	if err != nil {
-		return ErrBody(err)
-	}
-	keys, err := r.Keys()
-	if err != nil {
-		return ErrBody(err)
-	}
-	if err := ValidateBagOffsets(offsets, len(keys)); err != nil {
-		return ErrBody(err)
+	offsets, keys := r.U32s(), r.Keys()
+	r.fail(ValidateBagOffsets(offsets, len(keys)))
+	if r.err != nil {
+		return ErrBody(MsgErr, r.err)
 	}
 	dim := s.bags.Dim()
 	bags := len(offsets) - 1
 	if 4*bags*dim > MaxFrame {
-		return ErrBody(fmt.Errorf("rpc: bag response %d floats exceeds frame limit", bags*dim))
+		return ErrBody(MsgErr, fmt.Errorf("rpc: bag response %d floats exceeds frame limit", bags*dim))
 	}
 	out := make([]float32, bags*dim)
 	if err := s.bags.PullBags(mode == 1, offsets, keys, out); err != nil {
 		return errResp(err)
 	}
-	resp := &Buffer{b: make([]byte, 0, 1+4+4*len(out))}
-	resp.b = append(resp.b, MsgData)
-	resp.PutFloats(out)
-	return resp.Bytes()
+	return floatsBody(out)
 }
 
 // Close stops accepting, closes live connections and waits for handlers.
@@ -650,40 +505,62 @@ func (s *Server) Close() error {
 func errResp(err error) []byte {
 	var ie interface{ IntegrityError() bool }
 	if errors.As(err, &ie) && ie.IntegrityError() {
-		return CorruptErrBody(err)
+		return ErrBody(MsgErrCorrupt, err)
 	}
 	var be interface{ Busy() bool }
 	if errors.As(err, &be) && be.Busy() {
-		return BusyErrBody(err)
+		return ErrBody(MsgErrBusy, err)
 	}
-	return ErrBody(err)
+	return ErrBody(MsgErr, err)
+}
+
+// okOr answers MsgOK, or err mapped by errResp.
+func okOr(err error) []byte {
+	if err != nil {
+		return errResp(err)
+	}
+	return OKBody()
+}
+
+// dataBuffer starts a MsgData response body.
+func dataBuffer() *Buffer { return &Buffer{b: []byte{MsgData}} }
+
+// i64Body is a MsgData response carrying vals.
+func i64Body(vals ...int64) []byte {
+	out := &Buffer{b: make([]byte, 1, 1+8*len(vals))}
+	out.b[0] = MsgData
+	for _, v := range vals {
+		out.PutI64(v)
+	}
+	return out.Bytes()
+}
+
+// floatsBody is a MsgData response carrying a count-prefixed float list.
+func floatsBody(vals []float32) []byte {
+	out := &Buffer{b: make([]byte, 1, 1+4+4*len(vals))}
+	out.b[0] = MsgData
+	out.PutFloats(vals)
+	return out.Bytes()
+}
+
+// flag encodes a bool as a wire byte.
+func flag(v bool) byte {
+	if v {
+		return 1
+	}
+	return 0
 }
 
 // DecodeScrubReport parses a MsgScrub response payload.
 func DecodeScrubReport(r *Reader) (psengine.ScrubReport, error) {
-	var rep psengine.ScrubReport
-	for _, f := range []*int64{&rep.Scanned, &rep.Corrupt, &rep.Repaired,
-		&rep.Restored, &rep.Fenced, &rep.Quarantined} {
-		v, err := r.I64()
-		if err != nil {
-			return rep, err
-		}
-		*f = v
-	}
-	return rep, nil
+	rep := psengine.ScrubReport{Scanned: r.I64(), Corrupt: r.I64(), Repaired: r.I64(),
+		Restored: r.I64(), Fenced: r.I64(), Quarantined: r.I64()}
+	return rep, r.err
 }
 
 // DecodeStats parses a MsgStats response payload.
 func DecodeStats(r *Reader) (psengine.Stats, error) {
-	var st psengine.Stats
-	fields := []*int64{&st.Entries, &st.CachedEntries, &st.Hits, &st.Misses,
-		&st.PMemReads, &st.PMemWrites, &st.Evictions, &st.CheckpointsDone}
-	for _, f := range fields {
-		v, err := r.I64()
-		if err != nil {
-			return st, err
-		}
-		*f = v
-	}
-	return st, nil
+	st := psengine.Stats{Entries: r.I64(), CachedEntries: r.I64(), Hits: r.I64(), Misses: r.I64(),
+		PMemReads: r.I64(), PMemWrites: r.I64(), Evictions: r.I64(), CheckpointsDone: r.I64()}
+	return st, r.err
 }

@@ -18,7 +18,6 @@ import (
 	"openembedding/internal/pmem"
 	"openembedding/internal/psengine"
 	"openembedding/internal/simclock"
-	"openembedding/internal/trace"
 	"openembedding/internal/workload"
 )
 
@@ -86,7 +85,7 @@ type Config struct {
 	WarmupBatches, MeasureBatches int
 	// Seed drives the workload.
 	Seed int64
-	// RecordTrace attaches a trace recorder (Fig. 2).
+	// RecordTrace fills Result.Accesses (Fig. 2).
 	RecordTrace bool
 }
 
@@ -143,7 +142,9 @@ type Result struct {
 	Phases   PhaseBreakdown
 	Ckpts    int
 	Stats    psengine.Stats
-	Recorder *trace.Recorder
+	// Accesses are the measured batches' request arrivals in time order
+	// (only with Config.RecordTrace).
+	Accesses []Access
 	// EntriesBytes is the simulated store's entry payload size (scaled).
 	EntryBytes int
 }
@@ -177,11 +178,6 @@ func Run(cfg Config) (Result, error) {
 	res := Result{Config: cfg, EntryBytes: pmem.FloatBytes(store.EntryFloats()) + 24}
 	r := resourcesFor(cfg.Engine, cfg.GPUs)
 	scaleUp := float64(cfg.RealDraws) / float64(cfg.Draws)
-	var rec *trace.Recorder
-	if cfg.RecordTrace {
-		rec = &trace.Recorder{}
-		res.Recorder = rec
-	}
 
 	// Per-worker samplers and a reusable gradient buffer.
 	samplers := make([]workload.KeySampler, cfg.GPUs)
@@ -218,8 +214,8 @@ func Run(cfg Config) (Result, error) {
 			// Pull phase: the synchronous burst.
 			before := meter.Snapshot()
 			for w, keys := range keysByWorker {
-				if rec != nil && measure {
-					rec.Record(clock, trace.Pull, batch, len(keys))
+				if cfg.RecordTrace && measure {
+					res.Accesses = append(res.Accesses, Access{At: clock, Requests: len(keys)})
 				}
 				if err := eng.Pull(batch, keys, pullBuf[:len(keys)*cfg.Dim]); err != nil {
 					return fmt.Errorf("sim: pull (worker %d): %w", w, err)
@@ -245,8 +241,8 @@ func Run(cfg Config) (Result, error) {
 			before = meter.Snapshot()
 			pushClock := clock + pullT + maxDur(GPUBatchTime, maintT)
 			for w, keys := range keysByWorker {
-				if rec != nil && measure {
-					rec.Record(pushClock, trace.Push, batch, len(keys))
+				if cfg.RecordTrace && measure {
+					res.Accesses = append(res.Accesses, Access{At: pushClock, Push: true, Requests: len(keys)})
 				}
 				if err := eng.Push(batch, keys, grads[:len(keys)*cfg.Dim]); err != nil {
 					return fmt.Errorf("sim: push (worker %d): %w", w, err)

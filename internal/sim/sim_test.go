@@ -220,7 +220,7 @@ func TestTracePairs(t *testing.T) {
 	cfg := quick("pmem-oe", 4)
 	cfg.RecordTrace = true
 	res := run(t, cfg)
-	pulls, pushes := res.Recorder.PairCounts()
+	pulls, pushes := PairCounts(res.Accesses)
 	if pulls == 0 || pulls != pushes {
 		t.Fatalf("pull/update pairs broken: %d vs %d", pulls, pushes)
 	}
@@ -253,5 +253,42 @@ func TestPhaseTimeResources(t *testing.T) {
 	res := run(t, cfg)
 	if res.AvgBatch <= 0 || res.Epoch <= 0 {
 		t.Fatal("non-positive times")
+	}
+}
+
+func TestPerMillisecond(t *testing.T) {
+	buckets := PerMillisecond([]Access{
+		{At: 0, Requests: 100},
+		{At: 500 * time.Microsecond, Requests: 50}, // same ms bucket
+		{At: 2 * time.Millisecond, Push: true, Requests: 150},
+	})
+	if len(buckets) != 3 {
+		t.Fatalf("buckets = %d", len(buckets))
+	}
+	if buckets[0].Pulls != 150 || buckets[0].Pushes != 0 {
+		t.Fatalf("bucket 0 = %+v", buckets[0])
+	}
+	if buckets[1].Pulls != 0 || buckets[1].Pushes != 0 {
+		t.Fatalf("bucket 1 not idle: %+v", buckets[1])
+	}
+	if buckets[2].Pushes != 150 {
+		t.Fatalf("bucket 2 = %+v", buckets[2])
+	}
+}
+
+func TestPerMillisecondEmpty(t *testing.T) {
+	if got := PerMillisecond(nil); got != nil {
+		t.Fatalf("no accesses bucketed to %v", got)
+	}
+}
+
+func TestPairCounts(t *testing.T) {
+	pulls, pushes := PairCounts([]Access{
+		{At: 0, Requests: 7},
+		{At: time.Millisecond, Push: true, Requests: 7},
+		{At: 2 * time.Millisecond, Requests: 3},
+	})
+	if pulls != 10 || pushes != 7 {
+		t.Fatalf("pulls=%d pushes=%d", pulls, pushes)
 	}
 }

@@ -95,17 +95,6 @@ func (f *FlashCrowd) Advance(now time.Duration) {
 // equal windows mean an identical hot set.
 func (f *FlashCrowd) Window() uint64 { return uint64(f.now / f.rotate) }
 
-// Hot reports whether k is in the current hot set.
-func (f *FlashCrowd) Hot(k uint64) bool {
-	f.materialize(f.Window())
-	for _, h := range f.crowd {
-		if h == k {
-			return true
-		}
-	}
-	return false
-}
-
 // HotSet returns a copy of the current hot set.
 func (f *FlashCrowd) HotSet() []uint64 {
 	f.materialize(f.Window())

@@ -168,9 +168,6 @@ func (s *ExpSkew) Sample() uint64 {
 	return scatter(rank, s.n)
 }
 
-// Lambda returns the decay parameter.
-func (s *ExpSkew) Lambda() float64 { return s.lambda }
-
 // UniformKeys samples keys uniformly — the no-skew control.
 type UniformKeys struct {
 	n   int
